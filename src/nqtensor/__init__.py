@@ -10,9 +10,6 @@ from .functions import (
     canonical_tensor,
     eq_nondet_decomposition,
     equality,
-    eval_eq,
-    eval_gip,
-    eval_hamming_neq1,
     from_name,
     gip,
     hamming_neq1,

@@ -20,14 +20,7 @@ from .errors import (
     NqtensorError,
     UsageError,
 )
-from .functions import (
-    BUILTIN_FUNCTIONS,
-    canonical_tensor,
-    eq_nondet_decomposition,
-    from_name,
-    hamming_nondet_decomposition,
-    load_truth_table,
-)
+from .functions import FAMILIES, canonical_tensor, from_name, load_truth_table
 from .protocol import (
     build_nof_protocol,
     constant_one_spec,
@@ -44,18 +37,22 @@ from .tensor_core import read_dec, read_tsr, unfold, write_dec, write_tsr
 from .verify import GIP_INSTANCES, run_verify_all
 
 
-def _known_decomposition(name, n, k):
-    if name == "eq":
-        return eq_nondet_decomposition(n, k)
-    if name == "hamming_neq1":
-        return hamming_nondet_decomposition(n, k)
-    return None
-
-
 def _load_function(args):
     if getattr(args, "truth_table", None):
         return load_truth_table(args.truth_table)
     return from_name(args.function, args.n, args.k)
+
+
+def _family_tensor(f):
+    """The tensor ``build`` writes and ``rank`` brackets, its witness (or
+    None), and the rows that name a nondeterministic tensor."""
+    family = FAMILIES.get(f.name)
+    if family is None:
+        return canonical_tensor(f), None, []
+    t = family.tensor(f)
+    dec = family.witness(f.n, f.k) if family.witness else None
+    label = [Row("tensor", "nondet_witness", "-", "direct", INFO)] if family.nondet else []
+    return t, dec, label
 
 
 def _emit(args, stem, rows) -> int:
@@ -78,13 +75,12 @@ def _emit(args, stem, rows) -> int:
 
 def cmd_build(args) -> int:
     f = _load_function(args)
-    t = canonical_tensor(f)
+    t, dec, label = _family_tensor(f)
     os.makedirs(args.out, exist_ok=True)
     stem = f"{f.name}_{f.n}_{f.k}"
     tsr_path = os.path.join(args.out, stem + ".tsr")
     write_tsr(tsr_path, t)
-    rows = [Row("tensor_file", tsr_path, "-", "direct", INFO)]
-    dec = _known_decomposition(f.name, f.n, f.k)
+    rows = [Row("tensor_file", tsr_path, "-", "direct", INFO)] + label
     if dec is not None:
         dec_path = os.path.join(args.out, stem + ".dec")
         write_dec(dec_path, dec)
@@ -100,13 +96,13 @@ def cmd_rank(args) -> int:
         t = read_tsr(args.tsr)
         dec = read_dec(args.dec) if args.dec else None
         stem = os.path.splitext(os.path.basename(args.tsr))[0]
+        label = []
     else:
         f = _load_function(args)
-        t = canonical_tensor(f)
-        dec = _known_decomposition(f.name, f.n, f.k)
+        t, dec, label = _family_tensor(f)
         stem = f"{f.name}_{f.n}_{f.k}"
     br = rank_bracket(t, known=dec)
-    rows = [
+    rows = label + [
         Row("bracket_lower", br.lower, "-", "derived", INFO),
         Row("bracket_upper", br.upper, "-", "derived", INFO),
         Row("bracket_tight", br.tight, "-", "derived", INFO),
@@ -160,11 +156,12 @@ def cmd_gip_cert(args) -> int:
 
 def cmd_protocol(args) -> int:
     f = _load_function(args)
-    dec = _known_decomposition(f.name, f.n, f.k)
-    if dec is None:
+    family = FAMILIES.get(f.name)
+    if family is None or family.witness is None:
+        witnessed = " or ".join(sorted(name for name, fam in FAMILIES.items() if fam.witness))
         raise UsageError(f"no built-in decomposition for {f.name}; "
-                         "protocol commands need eq or hamming_neq1")
-    proto = build_nof_protocol(dec, f)
+                         f"protocol commands need {witnessed}")
+    proto = build_nof_protocol(family.witness(f.n, f.k), f)
     rows = [
         Row("numerical_rank", proto.r, "-", "derived", INFO),
         check_row("qubit_cost", proto.qubit_cost,
@@ -268,7 +265,7 @@ def cmd_verify_all(args) -> int:
 def _add_common(p, function=True, seed=False, trials=False):
     if function:
         p.add_argument("--function", default="eq",
-                       help=f"one of {', '.join(sorted(BUILTIN_FUNCTIONS))}")
+                       help=f"one of {', '.join(sorted(FAMILIES))}")
         p.add_argument("--truth-table", help="load a custom function from a file")
         p.add_argument("--n", type=int, default=1, help="bits per player")
         p.add_argument("--k", type=int, default=3, help="players")

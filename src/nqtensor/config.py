@@ -19,9 +19,6 @@ REJECT_CEILING = 1e-12
 # Per-entry tolerance for unitarity checks (U*U - I).
 UNITARY_TOL = 1e-10
 
-# Frobenius-relative tolerance for SVD reconstruction checks.
-SVD_RECON_TOL = 1e-10
-
 # Branch-form simulations must conserve total norm to this tolerance.
 NORM_TOL = 1e-9
 

@@ -7,7 +7,8 @@ represented as integers under a fixed big-endian convention: the string
 the left.  Fixing the convention once keeps every file format and certificate
 bit-exact.
 
-Built-in families:
+Built-in families (the ``FAMILIES`` registry pairs each with the tensor that
+``build`` writes and ``rank`` brackets, and with its nondeterministic witness):
 
 * ``eq``            — 1 iff all k strings are equal.
 * ``gip``           — parity of the positions where all k players hold a 1.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Callable
 
 from . import config
 from .errors import ArityMismatch, FormatError
@@ -84,58 +86,16 @@ class BooleanFunction:
 
 
 # ---------------------------------------------------------------------------
-# Evaluators
-# ---------------------------------------------------------------------------
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
-def _validate(n: int, k: int, xs, name: str) -> tuple:
-    xs = tuple(xs)
-    if len(xs) != k:
-        raise ArityMismatch(f"{name} takes {k} strings, got {len(xs)}")
-    for x in xs:
-        if not isinstance(x, int) or not 0 <= x < 2 ** n:
-            raise ArityMismatch(f"input {x!r} is not an {n}-bit string")
-    return xs
-
-
-def eval_eq(n: int, k: int, xs) -> int:
-    """1 iff all strings are equal."""
-    xs = _validate(n, k, xs, "eq")
-    return 1 if all(x == xs[0] for x in xs) else 0
-
-
-def eval_gip(n: int, k: int, xs, transpose_roles: bool = False) -> int:
-    """Parity of positions where every player holds a 1.
-
-    With ``transpose_roles`` the summation runs over players and the
-    conjunction over positions instead (parity of all-ones strings).
-    """
-    xs = _validate(n, k, xs, "gip")
-    if transpose_roles:
-        full = (1 << n) - 1
-        return sum(1 for x in xs if x == full) % 2
-    acc = (1 << n) - 1
-    for x in xs:
-        acc &= x
-    return _popcount(acc) % 2
-
-
-def eval_hamming_neq1(n: int, k: int, xs) -> int:
-    """1 iff the Hamming weight of x_1 & ... & x_k is not 1."""
-    xs = _validate(n, k, xs, "hamming_neq1")
-    acc = (1 << n) - 1
-    for x in xs:
-        acc &= x
-    return 1 if _popcount(acc) != 1 else 0
-
-
-# ---------------------------------------------------------------------------
 # Family builders
 # ---------------------------------------------------------------------------
+
+
+def _and_weight(n: int, xs) -> int:
+    """Hamming weight of x_1 & ... & x_k."""
+    acc = (1 << n) - 1
+    for x in xs:
+        acc &= x
+    return bin(acc).count("1")
 
 
 def equality(n: int, k: int) -> BooleanFunction:
@@ -145,52 +105,18 @@ def equality(n: int, k: int) -> BooleanFunction:
 def gip(n: int, k: int, transpose_roles: bool = False) -> BooleanFunction:
     if transpose_roles:
         full = (1 << n) - 1
-
-        def ev(xs):
-            return sum(1 for x in xs if x == full) % 2
-
-        return BooleanFunction("gip_transposed", n, k, ev)
-
-    def ev(xs):
-        acc = (1 << n) - 1
-        for x in xs:
-            acc &= x
-        return _popcount(acc) % 2
-
-    return BooleanFunction("gip", n, k, ev)
+        return BooleanFunction("gip_transposed", n, k,
+                               lambda xs: sum(1 for x in xs if x == full) % 2)
+    return BooleanFunction("gip", n, k, lambda xs: _and_weight(n, xs) % 2)
 
 
 def hamming_neq1(n: int, k: int) -> BooleanFunction:
-    def ev(xs):
-        acc = (1 << n) - 1
-        for x in xs:
-            acc &= x
-        return 1 if _popcount(acc) != 1 else 0
-
-    return BooleanFunction("hamming_neq1", n, k, ev)
+    return BooleanFunction("hamming_neq1", n, k,
+                           lambda xs: 1 if _and_weight(n, xs) != 1 else 0)
 
 
 def constant(n: int, k: int, bit: int) -> BooleanFunction:
     return BooleanFunction(f"const{bit}", n, k, lambda xs: bit)
-
-
-BUILTIN_FUNCTIONS = {
-    "eq": equality,
-    "gip": gip,
-    "gip_transposed": lambda n, k: gip(n, k, transpose_roles=True),
-    "hamming_neq1": hamming_neq1,
-    "const0": lambda n, k: constant(n, k, 0),
-    "const1": lambda n, k: constant(n, k, 1),
-}
-
-
-def from_name(name: str, n: int, k: int) -> BooleanFunction:
-    try:
-        builder = BUILTIN_FUNCTIONS[name]
-    except KeyError:
-        known = ", ".join(sorted(BUILTIN_FUNCTIONS))
-        raise KeyError(f"unknown function {name!r}; known: {known}") from None
-    return builder(n, k)
 
 
 def load_truth_table(path, name: str = "custom") -> BooleanFunction:
@@ -281,6 +207,20 @@ def hamming_nondet_decomposition(n: int, k: int) -> Decomposition:
     return Decomposition((side,) * k, tuple(terms))
 
 
+def hamming_nondet_tensor(n: int, k: int) -> DenseTensor:
+    """The nondeterministic hamming tensor, entry |x_1 & ... & x_k| - 1.
+
+    Built entry by entry in closed form, independently of
+    :func:`hamming_nondet_decomposition`, so a witness check compares two
+    separate computations.
+    """
+    side = 2 ** n
+    dims = (side,) * k
+    check_size_cap(dims)
+    return DenseTensor(dims, [exact(_and_weight(n, xs) - 1)
+                              for xs in product(range(side), repeat=k)])
+
+
 def random_nondet_substitution(
     f: BooleanFunction, rng_seed: int, bound: int = config.SUBSTITUTION_BOUND
 ) -> DenseTensor:
@@ -302,3 +242,55 @@ def random_nondet_substitution(
                 break
         entries.append(exact(a, b))
     return DenseTensor(dims, entries)
+
+
+# ---------------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------------
+
+
+def _canonical(f: BooleanFunction) -> DenseTensor:
+    return canonical_tensor(f)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One built-in family: its function, its tensor and its witness.
+
+    ``tensor`` is what ``build`` writes and ``rank`` brackets, by default the
+    0/1 canonical tensor; ``witness``, when known, is a decomposition that
+    materializes to exactly that tensor.  Entries call their builders through
+    the module-level names, so rebinding a name (e.g. to trace it) reaches
+    the registry too.
+    """
+
+    function: Callable[[int, int], BooleanFunction]
+    tensor: Callable[[BooleanFunction], DenseTensor] = _canonical
+    witness: Callable[[int, int], Decomposition] | None = None
+
+    @property
+    def nondet(self) -> bool:
+        """True when the tensor is a nondeterministic one, not the 0/1 tensor."""
+        return self.tensor is not _canonical
+
+
+FAMILIES = {
+    "eq": Family(lambda n, k: equality(n, k),
+                 witness=lambda n, k: eq_nondet_decomposition(n, k)),
+    "gip": Family(lambda n, k: gip(n, k)),
+    "gip_transposed": Family(lambda n, k: gip(n, k, transpose_roles=True)),
+    "hamming_neq1": Family(lambda n, k: hamming_neq1(n, k),
+                           tensor=lambda f: hamming_nondet_tensor(f.n, f.k),
+                           witness=lambda n, k: hamming_nondet_decomposition(n, k)),
+    "const0": Family(lambda n, k: constant(n, k, 0)),
+    "const1": Family(lambda n, k: constant(n, k, 1)),
+}
+
+
+def from_name(name: str, n: int, k: int) -> BooleanFunction:
+    try:
+        family = FAMILIES[name]
+    except KeyError:
+        known = ", ".join(sorted(FAMILIES))
+        raise KeyError(f"unknown function {name!r}; known: {known}") from None
+    return family.function(n, k)

@@ -558,6 +558,10 @@ def read_scenario(path) -> ProtocolSpec:
 # ---------------------------------------------------------------------------
 
 
+# Length of the all-ones mode that makes an odd player count even.
+LIFT_LENGTH = 2
+
+
 @dataclass(frozen=True)
 class NofProtocol:
     """Compiled SVD protocol for one nondeterministic tensor."""
@@ -565,7 +569,6 @@ class NofProtocol:
     source: str
     f: BooleanFunction
     lifted: bool
-    lift_length: int
     split: int
     u: FloatMatrix
     sigma: tuple
@@ -584,8 +587,7 @@ class AcceptanceResult:
     analytic_probability: float
 
 
-def build_nof_protocol(d: Decomposition, f: BooleanFunction,
-                       lift_length: int = 2) -> NofProtocol:
+def build_nof_protocol(d: Decomposition, f: BooleanFunction) -> NofProtocol:
     """Compile a decomposition into the grouped-SVD protocol.
 
     Even player counts matrize at k/2 directly; odd ones first gain a dummy
@@ -597,7 +599,7 @@ def build_nof_protocol(d: Decomposition, f: BooleanFunction,
     if not pattern_check(t, f):
         raise PatternMismatch(f"decomposition does not match {f.name}")
     if f.k % 2 == 1:
-        worked = lift_order(d, lift_length)
+        worked = lift_order(d, LIFT_LENGTH)
         lifted = True
     else:
         worked = d
@@ -612,7 +614,6 @@ def build_nof_protocol(d: Decomposition, f: BooleanFunction,
         source=f"{f.name}_n{f.n}_k{f.k}",
         f=f,
         lifted=lifted,
-        lift_length=lift_length,
         split=split,
         u=u,
         sigma=tuple(float(x) for x in s),
@@ -642,7 +643,7 @@ def run_nof(p: NofProtocol, xs, dummy: int = 0) -> AcceptanceResult:
     """
     xs = p.f.check_input(xs)
     work = xs + (dummy,) if p.lifted else xs
-    if p.lifted and not 0 <= dummy < p.lift_length:
+    if p.lifted and not 0 <= dummy < LIFT_LENGTH:
         raise ArityMismatch(f"dummy index {dummy} out of range")
     row = _flat(p.work_dims[:p.split], work[:p.split])
     col = _flat(p.work_dims[p.split:], work[p.split:])
@@ -825,16 +826,39 @@ class NihCertificate:
     cost_bound_ok: bool
     attempts: int
 
-    @property
-    def rank_ok(self) -> bool:
-        return self.grouped_rank <= self.rank_bound
+
+def nih_families(spec: ProtocolSpec, f: BooleanFunction):
+    """Simulate every input, check that the protocol accepts exactly f's
+    1-inputs (else :class:`PremiseViolation`), and group the families.
+
+    Returns (ys, zs, fam_a, fam_b, ones): the input tuples of the first
+    floor(k/2) players and of the rest, one grouped vector per accepted
+    transcript for each y (``fam_a``) and each z (``fam_b``), and the (y, z)
+    pairs with f = 1.  A half's vectors are read off at a fixed other half
+    (``zs[0]``, ``ys[0]``): in NIH mode they do not depend on it.
+    """
+    states = {}
+    for xs in f.inputs():
+        b = simulate_branches(spec, xs)
+        states[xs] = b
+        accepted = b.accept_probability() > config.ACCEPT_EPS
+        if accepted != (f.value(xs) == 1):
+            raise PremiseViolation(
+                f"protocol acceptance at {xs} disagrees with {f.name}"
+            )
+    g = f.k // 2
+    ys = list(product(range(f.side), repeat=g))
+    zs = list(product(range(f.side), repeat=f.k - g))
+    fam_a = {y: extract_families(states[y + zs[0]])[1] for y in ys}
+    fam_b = {z: extract_families(states[ys[0] + z])[2] for z in zs}
+    ones = [(y, z) for y in ys for z in zs if f.value(y + z) == 1]
+    return ys, zs, fam_a, fam_b, ones
 
 
 def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
-                         set_size_exponent: int | None = None,
-                         max_attempts: int = 10) -> NihCertificate:
-    """Run the full extraction: premise sweep, grouping, coefficient search,
-    grouped-matrix pattern and rank checks.
+                         set_size_exponent: int | None = None) -> NihCertificate:
+    """Run the full extraction: premise sweep, grouping, coefficient search
+    (at most 10 draws), grouped-matrix pattern and rank checks.
 
     The protocol must be strongly nondeterministic for f (verified first,
     else :class:`PremiseViolation`).  The grouped matrix is certified as a
@@ -850,34 +874,8 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
     if set_size_exponent is None:
         set_size_exponent = f.k * f.n + 1
 
-    side = f.side
-    g = f.k // 2
-    states = {}
-    for xs in f.inputs():
-        b = simulate_branches(spec, xs)
-        states[xs] = b
-        accepted = b.accept_probability() > config.ACCEPT_EPS
-        if accepted != (f.value(xs) == 1):
-            raise PremiseViolation(
-                f"protocol acceptance at {xs} disagrees with {f.name}"
-            )
-
-    ys = list(product(range(side), repeat=g))
-    zs = list(product(range(side), repeat=f.k - g))
-    z0 = zs[0]
-    y0 = ys[0]
-    fam_a = {}
-    for y in ys:
-        _, a_vecs, _ = extract_families(states[y + z0])
-        fam_a[y] = a_vecs
-    fam_b = {}
-    for z in zs:
-        _, _, b_vecs = extract_families(states[y0 + z])
-        fam_b[z] = b_vecs
-
-    ones = [(y, z) for y in ys for z in zs if f.value(y + z) == 1]
-    coeff = coefficient_search(fam_a, fam_b, ones, set_size_exponent,
-                               rng_seed, max_attempts)
+    ys, zs, fam_a, fam_b, ones = nih_families(spec, f)
+    coeff = coefficient_search(fam_a, fam_b, ones, set_size_exponent, rng_seed)
 
     alpha = np.array(coeff.alpha, dtype=np.complex128)
     beta = np.array(coeff.beta, dtype=np.complex128)
@@ -900,7 +898,7 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
     ell = spec.ell
     return NihCertificate(
         ell=ell,
-        group_split=g,
+        group_split=f.k // 2,
         rank_bound=2 ** (ell - 1),
         grouped_rank=grouped_rank,
         pattern_ok=pattern_ok,

@@ -293,20 +293,6 @@ def numerical_rank(sigma, shape) -> int:
     return int(np.sum(np.asarray(sigma) > thr))
 
 
-def reconstruction_error(m: FloatMatrix, u: FloatMatrix, sigma, v: FloatMatrix) -> float:
-    """Frobenius error of u @ diag(sigma) @ v against m."""
-    srect = np.zeros((u.cols, v.rows))
-    for i, val in enumerate(sigma):
-        srect[i, i] = val
-    return float(np.linalg.norm(u.array @ srect @ v.array - m.array))
-
-
-def unitarity_error(m: FloatMatrix) -> float:
-    """Max-entry deviation of m* m from the identity."""
-    g = m.array.conj().T @ m.array
-    return float(np.max(np.abs(g - np.eye(m.cols))))
-
-
 # ---------------------------------------------------------------------------
 # Exact -> float conversion
 # ---------------------------------------------------------------------------

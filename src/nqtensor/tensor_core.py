@@ -67,11 +67,6 @@ class DenseTensor:
     def zero(cls, dims) -> "DenseTensor":
         return cls(dims, [EC_ZERO] * math.prod(dims))
 
-    @classmethod
-    def from_function(cls, dims, fn) -> "DenseTensor":
-        check_size_cap(dims)
-        return cls(dims, [coerce_or_pass(fn(idx)) for idx in product(*(range(d) for d in dims))])
-
     def flat_index(self, idx) -> int:
         if len(idx) != self.order:
             raise IndexError(f"need {self.order} indices, got {len(idx)}")
@@ -129,10 +124,6 @@ class Decomposition:
     @property
     def term_count(self) -> int:
         return len(self.terms)
-
-
-def coerce_or_pass(v):
-    return v if isinstance(v, ExactComplex) else coerce_exact(v)
 
 
 def check_size_cap(dims) -> None:

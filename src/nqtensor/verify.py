@@ -21,19 +21,18 @@ import numpy as np
 from . import config
 from .errors import CoefficientNotFound, DegenerateN
 from .functions import (
+    FAMILIES,
     canonical_tensor,
-    eq_nondet_decomposition,
     equality,
+    from_name,
     gip,
-    hamming_neq1,
-    hamming_nondet_decomposition,
     inner_product_matrix,
     random_nondet_substitution,
 )
 from .protocol import (
     build_nof_protocol,
     coefficient_search,
-    extract_families,
+    nih_families,
     nih_rank_certificate,
     random_protocol,
     run_nof,
@@ -79,10 +78,10 @@ def criterion_ip_rank(seed) -> CriterionResult:
 
 def criterion_eq_bracket(seed) -> CriterionResult:
     rows = []
+    eq = FAMILIES["eq"]
     for n in (1, 2, 3):
         for k in (3, 4):
-            t = canonical_tensor(equality(n, k))
-            br = rank_bracket(t, known=eq_nondet_decomposition(n, k))
+            br = rank_bracket(eq.tensor(eq.function(n, k)), known=eq.witness(n, k))
             rows.append(check_row(
                 f"eq_bracket_n{n}_k{k}",
                 (br.lower, br.upper, br.tight),
@@ -144,21 +143,11 @@ _SWEEP_CASES = (
 )
 
 
-def _built_protocol(name, n, k):
-    if name == "eq":
-        f = equality(n, k)
-        dec = eq_nondet_decomposition(n, k)
-    else:
-        f = hamming_neq1(n, k)
-        dec = hamming_nondet_decomposition(n, k)
-    return f, dec, build_nof_protocol(dec, f)
-
-
 def criterion_nof_sweeps(seed) -> CriterionResult:
     rows = []
     for (name, n, k) in _SWEEP_CASES:
-        f, _, proto = _built_protocol(name, n, k)
-        rep = strong_nondet_check(proto, f)
+        f = from_name(name, n, k)
+        rep = strong_nondet_check(build_nof_protocol(FAMILIES[name].witness(n, k), f), f)
         tag = f"{name}_n{n}_k{k}"
         rows.append(check_row(f"{tag}_decisions_ok", rep.passed, True, "derived"))
         rows.append(bound_row(f"{tag}_min_accept_probability",
@@ -181,7 +170,8 @@ def criterion_qubit_cost(seed) -> CriterionResult:
         ("hamming_neq1", 3, 3, None), ("hamming_neq1", 2, 4, None),
     )
     for (name, n, k, expect_r) in cases:
-        f, dec, proto = _built_protocol(name, n, k)
+        dec = FAMILIES[name].witness(n, k)
+        proto = build_nof_protocol(dec, from_name(name, n, k))
         tag = f"{name}_n{n}_k{k}"
         formula = (math.ceil(math.log2(proto.r)) if proto.r >= 1 else 0) + 1
         rows.append(check_row(f"{tag}_cost_formula", proto.qubit_cost,
@@ -197,7 +187,8 @@ def criterion_qubit_cost(seed) -> CriterionResult:
 def criterion_lift_neutrality(seed) -> CriterionResult:
     rows = []
     for (name, n, k) in (("eq", 1, 3), ("eq", 2, 3), ("hamming_neq1", 2, 3)):
-        f, dec, proto = _built_protocol(name, n, k)
+        f, dec = from_name(name, n, k), FAMILIES[name].witness(n, k)
+        proto = build_nof_protocol(dec, f)
         tag = f"{name}_n{n}_k{k}"
         decisions = []
         for dummy in (0, 1):
@@ -262,14 +253,7 @@ def criterion_nih_certificate(seed) -> CriterionResult:
                               True, "literature"))
 
         # coefficient search success rate over 20 seeds on the same families
-        states = {xs: simulate_branches(spec, xs) for xs in f.inputs()}
-        side = f.side
-        g = f.k // 2
-        ys = list(product(range(side), repeat=g))
-        zs = list(product(range(side), repeat=f.k - g))
-        fam_a = {y: extract_families(states[y + zs[0]])[1] for y in ys}
-        fam_b = {z: extract_families(states[ys[0] + z])[2] for z in zs}
-        ones = [(y, z) for y in ys for z in zs if f.value(y + z) == 1]
+        _, _, fam_a, fam_b, ones = nih_families(spec, f)
         successes = 0
         for s in range(1, 21):
             try:

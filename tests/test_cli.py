@@ -35,6 +35,30 @@ def test_rank_command_roundtrips_files(tmp_path):
     assert "bracket_tight\ttrue" in res.stdout
 
 
+def test_rank_hamming_brackets_nondet_tensor(tmp_path):
+    res = run_cli("rank", "--function", "hamming_neq1", "--n", "2", "--k", "3",
+                  "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    assert "tensor\tnondet_witness\t-\tdirect\tINFO" in res.stdout
+    assert "bracket_lower\t3" in res.stdout
+    assert "bracket_upper\t3" in res.stdout
+    assert "bracket_tight\ttrue" in res.stdout
+
+
+def test_rank_hamming_roundtrips_files(tmp_path):
+    out = tmp_path / "o"
+    built = run_cli("build", "--function", "hamming_neq1", "--n", "2", "--k", "3",
+                    "--out", str(out))
+    assert built.returncode == 0
+    assert "tensor\tnondet_witness" in built.stdout
+    res = run_cli("rank", "--tsr", str(out / "hamming_neq1_2_3.tsr"),
+                  "--dec", str(out / "hamming_neq1_2_3.dec"), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert "bracket_lower\t3" in res.stdout
+    assert "bracket_upper\t3" in res.stdout
+    assert "bracket_tight\ttrue" in res.stdout
+
+
 def test_unfold_writes_mat(tmp_path):
     out = tmp_path / "o"
     res = run_cli("unfold", "--function", "gip", "--n", "2", "--k", "3",

@@ -4,14 +4,11 @@ import pytest
 
 from nqtensor.errors import ArityMismatch, FormatError, SizeCapExceeded
 from nqtensor.functions import (
-    BUILTIN_FUNCTIONS,
+    FAMILIES,
     canonical_tensor,
     constant,
     eq_nondet_decomposition,
     equality,
-    eval_eq,
-    eval_gip,
-    eval_hamming_neq1,
     from_name,
     gip,
     hamming_neq1,
@@ -30,39 +27,39 @@ from nqtensor.tensor_core import DenseTensor, materialize, superdiagonal
 
 
 def test_eval_eq_examples():
-    assert eval_eq(2, 3, (0b01, 0b01, 0b01)) == 1
-    assert eval_eq(2, 3, (0b01, 0b01, 0b11)) == 0
+    assert equality(2, 3).value((0b01, 0b01, 0b01)) == 1
+    assert equality(2, 3).value((0b01, 0b01, 0b11)) == 0
 
 
 def test_eval_eq_two_party_matches_direct_comparison():
     for x, y in product(range(4), repeat=2):
-        assert eval_eq(2, 2, (x, y)) == (1 if x == y else 0)
+        assert equality(2, 2).value((x, y)) == (1 if x == y else 0)
 
 
 def test_eval_eq_arity():
     with pytest.raises(ArityMismatch):
-        eval_eq(2, 3, (0, 1))
+        equality(2, 3).value((0, 1))
     with pytest.raises(ArityMismatch):
-        eval_eq(1, 2, (2, 0))
+        equality(1, 2).value((2, 0))
 
 
 def test_eval_gip_examples():
-    assert eval_gip(2, 3, (0b11, 0b11, 0b11)) == 0  # two all-ones positions
-    assert eval_gip(2, 3, (0b10, 0b10, 0b10)) == 1  # one all-ones position
+    assert gip(2, 3).value((0b11, 0b11, 0b11)) == 0  # two all-ones positions
+    assert gip(2, 3).value((0b10, 0b10, 0b10)) == 1  # one all-ones position
 
 
 def test_eval_gip_two_party_is_inner_product():
     m = inner_product_matrix(2)
     for x, y in product(range(4), repeat=2):
         expected = bin(x & y).count("1") % 2
-        assert eval_gip(2, 2, (x, y)) == expected
+        assert gip(2, 2).value((x, y)) == expected
         assert (not m.entry(x, y).is_zero()) == bool(expected)
 
 
 def test_eval_gip_transposed_reading():
     # parity of players holding the all-ones string
-    assert eval_gip(2, 3, (0b11, 0b11, 0b01), transpose_roles=True) == 0
-    assert eval_gip(2, 3, (0b11, 0b10, 0b01), transpose_roles=True) == 1
+    assert gip(2, 3, transpose_roles=True).value((0b11, 0b11, 0b01)) == 0
+    assert gip(2, 3, transpose_roles=True).value((0b11, 0b10, 0b01)) == 1
     assert from_name("gip_transposed", 2, 3).value((0b11, 0b10, 0b01)) == 1
 
 
@@ -75,9 +72,10 @@ def test_gip_symmetric_under_player_permutation():
 
 
 def test_eval_hamming_examples():
-    assert eval_hamming_neq1(3, 3, (0b110, 0b110, 0b110)) == 1  # weight 2
-    assert eval_hamming_neq1(3, 3, (0b100, 0b100, 0b100)) == 0  # weight 1
-    assert eval_hamming_neq1(3, 3, (0b000, 0b111, 0b010)) == 1  # weight 0
+    f = hamming_neq1(3, 3)
+    assert f.value((0b110, 0b110, 0b110)) == 1  # weight 2
+    assert f.value((0b100, 0b100, 0b100)) == 0  # weight 1
+    assert f.value((0b000, 0b111, 0b010)) == 1  # weight 0
 
 
 def test_hamming_symmetries():
@@ -206,9 +204,40 @@ def test_random_substitution_bound():
 
 
 def test_registry_names():
-    assert {"eq", "gip", "hamming_neq1"} <= set(BUILTIN_FUNCTIONS)
+    assert {"eq", "gip", "hamming_neq1"} <= set(FAMILIES)
     with pytest.raises(KeyError):
         from_name("nope", 1, 2)
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 3), (2, 4), (3, 3)])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_registry_entry_is_consistent(name, n, k):
+    family = FAMILIES[name]
+    f = from_name(name, n, k)
+    assert (f.name, f.n, f.k) == (name, n, k)
+    if family.witness is None:
+        return
+    witness = family.witness(n, k)
+    t = family.tensor(f)
+    assert materialize(witness) == t
+    assert pattern_check(t, f)
+    assert witness.term_count == {"eq": 2 ** n, "hamming_neq1": n + 1}[name]
+
+
+def test_hamming_registry_tensor_is_and_weight_minus_one():
+    f = hamming_neq1(2, 3)
+    t = FAMILIES["hamming_neq1"].tensor(f)
+    for xs in f.inputs():
+        assert t.entry(xs) == exact(bin(xs[0] & xs[1] & xs[2]).count("1") - 1)
+
+
+def test_function_help_lists_registry_keys():
+    from nqtensor.cli import build_parser
+
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for name in ("build", "rank", "unfold", "probe", "nih-extract"):
+        option = commands[name]._option_string_actions["--function"]
+        assert option.help == "one of " + ", ".join(sorted(FAMILIES))
 
 
 def test_truth_table_roundtrip(tmp_path):

@@ -1,0 +1,87 @@
+"""Byte-identity of CLI reports and artifacts against checked-in golden copies.
+
+The commands are the README's command list (plus the hamming build/rank round
+trip).  They run in-process from a scratch directory with relative ``--out``
+directories, so the paths printed inside the reports are stable.  Every file
+under ``tests/golden/`` must match the file the commands wrote at the same
+relative path, byte for byte.  Rows that print SVD-derived floats are dropped
+from both sides first: their last digits depend on the BLAS build.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from nqtensor import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+FLOAT_ROWS = {
+    "probability",
+    "analytic_probability",
+    "min_accept_probability",
+    "max_reject_probability",
+    "max_sim_analytic_gap",
+}
+
+RELAY = (
+    "mode nih\nplayers 3\nbits 1\ndims 2 2 4\n"
+    "turn 1 write-bit 1\nturn 3 store 1\n"
+    "turn 2 write-bit 1\nturn 3 store 2\n"
+    "turn 3 compare-and-flag\n"
+)
+
+# (output directory, command); run in this order
+COMMANDS = (
+    ("out", "build --function eq --n 1 --k 3"),
+    ("out", "rank --function eq --n 2 --k 3"),
+    ("out", "rank --tsr out/eq_1_3.tsr --dec out/eq_1_3.dec"),
+    ("out", "rank --function gip --n 2 --k 3"),
+    ("out", "unfold --function gip --n 2 --k 3 --mode 1"),
+    ("out", "gip-cert --n 2 --k 3"),
+    ("out", "protocol nof --function eq --n 1 --k 3 --input 0,1,0"),
+    ("out", "protocol sweep --function hamming_neq1 --n 2 --k 3"),
+    ("out", "nih-extract --function eq --n 1 --k 3 --seed 7"),
+    ("scn", "nih-extract --function eq --n 1 --k 3 --scenario relay.scn --seed 7"),
+    ("out", "probe --function gip --n 2 --k 3 --trials 100 --seed 1"),
+    ("out", "build --function hamming_neq1 --n 2 --k 3"),
+    ("out", "rank --function hamming_neq1 --n 2 --k 3"),
+    ("rt", "rank --tsr out/hamming_neq1_2_3.tsr --dec out/hamming_neq1_2_3.dec"),
+)
+
+
+def _comparable(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.suffix != ".tsv":
+        return data
+    lines = data.decode().splitlines(keepends=True)
+    return "".join(l for l in lines if l.split("\t", 1)[0] not in FLOAT_ROWS).encode()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    (root / "relay.scn").write_text(RELAY)
+    codes = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for out, command in COMMANDS:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                codes[command] = cli.main(command.split() + ["--out", out])
+    return root, codes
+
+
+def test_every_command_exits_zero(workdir):
+    _, codes = workdir
+    assert {c: rc for c, rc in codes.items() if rc != 0} == {}
+
+
+@pytest.mark.parametrize(
+    "rel", sorted(str(p.relative_to(GOLDEN)) for p in GOLDEN.rglob("*") if p.is_file())
+)
+def test_matches_golden(workdir, rel):
+    root, _ = workdir
+    assert _comparable(root / rel) == _comparable(GOLDEN / rel)
