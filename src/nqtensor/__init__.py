@@ -1,8 +1,9 @@
 """nqtensor: communication-tensor rank workbench and protocol simulator.
 
 Exact rank certificates live on Gaussian-rational arithmetic; floating-point
-enters only through the SVD compression route and the statevector
-simulators.  See the README for the command-line surface.
+enters through the SVD compression route, the statevector simulators and
+the numerical rank of the NIH grouped matrix.  See the README for the
+command-line surface.
 """
 
 from .functions import (

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -49,11 +48,11 @@ from .errors import (
 from .functions import BooleanFunction
 from .rank_bounds import pattern_check
 from .scalar_linalg import (
-    ExactComplex,
     ExactMatrix,
     FloatMatrix,
     exact_rank,
     numerical_rank,
+    parse_float_scalar,
     svd,
     to_float,
 )
@@ -470,15 +469,10 @@ def _one_int(args, line):
 
 
 def _parse_matrix(args, d, line):
-    from .scalar_linalg import parse_float_scalar
-
     rows = " ".join(args).split(";")
-    try:
-        m = np.array(
-            [[parse_float_scalar(tok, line) for tok in row.split()] for row in rows]
-        )
-    except FormatError:
-        raise
+    m = np.array(
+        [[parse_float_scalar(tok, line) for tok in row.split()] for row in rows]
+    )
     if m.shape != (2 * d, 2 * d):
         raise FormatError(f"matrix must be {2 * d}x{2 * d}", line)
     return m
@@ -756,12 +750,12 @@ def coefficient_search(fam_a: dict, fam_b: dict, ones, set_size_exponent: int,
                        rng_seed: int, max_attempts: int = 10) -> CoefficientResult:
     """Sample integer contraction coefficients until every 1-input survives.
 
-    ``fam_a`` maps each grouped input y to its list of family vectors (one
-    per accepted transcript, in a fixed order), ``fam_b`` likewise for z.
-    Coefficients are drawn uniformly from 1..2^set_size_exponent.  A draw is
-    accepted when v(y,z) = sum_i (alpha . A_i(y)) (beta . B_i(z)) is nonzero
-    for every (y,z) in ``ones`` — exactly for exact families, |v| > 1e-9 for
-    floating ones.
+    ``fam_a`` maps each grouped input y to its list of complex128 family
+    vectors (one numpy array per accepted transcript, in a fixed order),
+    ``fam_b`` likewise for z.  Coefficients are drawn uniformly from
+    1..2^set_size_exponent.  A draw is accepted when
+    v(y,z) = sum_i (alpha . A_i(y)) (beta . B_i(z)) has |v| > 1e-9 for every
+    (y,z) in ``ones``.
     """
     ones = list(ones)
     if not fam_a or not fam_b:
@@ -784,32 +778,12 @@ def coefficient_search(fam_a: dict, fam_b: dict, ones, set_size_exponent: int,
 
 
 def _contracted_is_zero(a_vectors, b_vectors, alpha, beta) -> bool:
-    v = _contract_pair(a_vectors, b_vectors, alpha, beta)
-    if isinstance(v, ExactComplex):
-        return v.is_zero()
-    return abs(v) <= config.ACCEPT_EPS
-
-
-def _contract_pair(a_vectors, b_vectors, alpha, beta):
-    if a_vectors and isinstance(a_vectors[0], np.ndarray):
-        alpha_arr = np.array(alpha, dtype=np.complex128)
-        beta_arr = np.array(beta, dtype=np.complex128)
-        total = 0.0 + 0.0j
-        for av, bv in zip(a_vectors, b_vectors):
-            total += (alpha_arr @ av) * (beta_arr @ bv)
-        return complex(total)
-    from .scalar_linalg import EC_ZERO, exact
-
-    total = EC_ZERO
+    alpha_arr = np.array(alpha, dtype=np.complex128)
+    beta_arr = np.array(beta, dtype=np.complex128)
+    total = 0.0 + 0.0j
     for av, bv in zip(a_vectors, b_vectors):
-        a_c = EC_ZERO
-        for coef, comp in zip(alpha, av):
-            a_c = a_c + exact(coef) * comp
-        b_c = EC_ZERO
-        for coef, comp in zip(beta, bv):
-            b_c = b_c + exact(coef) * comp
-        total = total + a_c * b_c
-    return total
+        total += (alpha_arr @ av) * (beta_arr @ bv)
+    return abs(total) <= config.ACCEPT_EPS
 
 
 @dataclass(frozen=True)
@@ -863,7 +837,10 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
     The protocol must be strongly nondeterministic for f (verified first,
     else :class:`PremiseViolation`).  The grouped matrix is certified as a
     grouped matrization: its zero pattern must match f under the grouping and
-    its exact rank must not exceed 2^(ell-1).
+    its rank must not exceed 2^(ell-1).  The grouped matrix is a float matrix
+    built from the simulated branch vectors, so its rank is the numerical
+    rank (:func:`numerical_rank` of its singular values); the 0/1 pattern
+    matrix of f is exact and takes :func:`exact_rank`.
     """
     if spec.mode != "nih":
         raise PremiseViolation("certificate applies to NIH protocols")
@@ -889,7 +866,7 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
         for zi, z in enumerate(zs)
     )
 
-    grouped_rank = exact_rank(_rationalize(grouped))
+    grouped_rank = numerical_rank(svd(FloatMatrix(grouped))[1], grouped.shape)
     pattern01 = ExactMatrix.from_rows(
         [[f.value(y + z) for z in zs] for y in ys]
     )
@@ -908,17 +885,3 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
         attempts=coeff.attempts,
     )
 
-
-def _rationalize(arr: np.ndarray) -> ExactMatrix:
-    rows, cols = arr.shape
-    entries = []
-    for i in range(rows):
-        for j in range(cols):
-            z = arr[i, j]
-            re = Fraction(float(z.real))
-            im = Fraction(float(z.imag))
-            # wash out float dust so rank reflects the contracted values
-            if abs(z) <= config.ACCEPT_EPS:
-                re = im = Fraction(0)
-            entries.append(ExactComplex(re, im))
-    return ExactMatrix(rows, cols, entries)

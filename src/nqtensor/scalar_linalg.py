@@ -2,15 +2,22 @@
 
 Two parallel scalar worlds are kept deliberately separate:
 
-* :class:`ExactComplex` — Gaussian rationals (a pair of ``Fraction``).  Every
-  rank statement in this package is computed here, with exact pivot tests, so
-  "rank" never depends on a tolerance.
-* floating complex — plain ``complex`` / ``numpy.complex128``, used for SVD
-  and protocol simulation where a numerical kernel is the right tool.
+* :class:`ExactComplex` — Gaussian rationals (a pair of ``Fraction``), the
+  entries of tensors, decompositions and exact matrices.  :func:`exact_rank`
+  is the one exact elimination: it clears each row's denominators and runs
+  fraction-free Bareiss elimination over Gaussian integers held as pairs of
+  Python ints, with exact pivot tests, so an exact rank never depends on a
+  tolerance.
+* floating complex — plain ``complex`` / ``numpy.complex128``, used for SVD,
+  protocol simulation, and the numerical rank (:func:`numerical_rank`) of
+  matrices built from simulated states, where a numerical kernel is the
+  right tool.
 
 Matrices come in matching flavors (:class:`ExactMatrix`, :class:`FloatMatrix`);
-both serialize to the ``.mat`` text format.  All values are immutable after
-construction and safe to share across workers.
+both serialize to the ``.mat`` text format, whose ``p/q`` rational tokens
+(:func:`format_rational`, :func:`parse_rational`) the ``.tsr`` and ``.dec``
+formats share.  All values are immutable after construction and safe to
+share across workers.
 """
 
 from __future__ import annotations
@@ -217,48 +224,54 @@ def coerce_exact(v) -> ExactComplex:
 
 
 def exact_rank(m: ExactMatrix) -> int:
-    """Rank of an exact matrix by fraction-free (Bareiss-style) elimination.
+    """Rank of an exact matrix by fraction-free Bareiss elimination over Z[i].
 
-    Pivot tests compare against exact zero; no tolerance is involved.  The
-    one-step Bareiss update divides by the previous pivot, which keeps the
-    intermediate rationals from blowing up on integer-entried input.
+    Each row is first scaled by the lcm of its entries' denominators, which
+    leaves the rank unchanged and turns every entry into a Gaussian integer,
+    held as an ``(re, im)`` pair of Python ints.  Every row below the pivot
+    then takes the one-step update ``(pivot * a_ij - a_ic * a_rj) / prev``.
+    Each such entry is a minor of the scaled matrix (Sylvester's identity), so
+    the division by the previous pivot is exact in Z[i] (Bareiss 1968) and
+    the intermediate integers stay bounded by those minors.  Pivot tests
+    compare against exact zero; no tolerance is involved.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    a = [list(m.row(i)) for i in range(m.rows)]
+    a = [_gaussian_integer_row(m.row(i)) for i in range(m.rows)]
     nrows, ncols = m.rows, m.cols
     rank = 0
-    r = 0
-    prev = EC_ONE
+    prev_re, prev_im = 1, 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not a[i][c].is_zero():
-                piv = i
-                break
+        piv = next((i for i in range(rank, nrows) if a[i][c] != (0, 0)), None)
         if piv is None:
             continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, nrows):
-            aic = a[i][c]
-            if aic.is_zero():
-                # still rescale the remaining row to keep the Bareiss
-                # invariant (pivot * row / prev stays exact over a field)
-                for j in range(c + 1, ncols):
-                    if not a[i][j].is_zero():
-                        a[i][j] = pivot * a[i][j] / prev
-                continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        p_re, p_im = top[c]
+        norm = prev_re * prev_re + prev_im * prev_im
+        for i in range(rank + 1, nrows):
+            row = a[i]
+            c_re, c_im = row[c]
             for j in range(c + 1, ncols):
-                a[i][j] = (pivot * a[i][j] - aic * a[r][j]) / prev
-            a[i][c] = EC_ZERO
-        prev = pivot
+                x_re, x_im = row[j]
+                t_re, t_im = top[j]
+                n_re = p_re * x_re - p_im * x_im - c_re * t_re + c_im * t_im
+                n_im = p_re * x_im + p_im * x_re - c_re * t_im - c_im * t_re
+                # multiply by conj(prev) / |prev|^2; the quotient is exact
+                row[j] = ((n_re * prev_re + n_im * prev_im) // norm,
+                          (n_im * prev_re - n_re * prev_im) // norm)
+        prev_re, prev_im = p_re, p_im
         rank += 1
-        r += 1
-        if r == nrows:
+        if rank == nrows:
             break
     return rank
+
+
+def _gaussian_integer_row(row) -> list:
+    """``row`` scaled by the lcm of its denominators, as (re, im) int pairs."""
+    scale = math.lcm(*(q.denominator for e in row for q in (e.re, e.im)))
+    return [(e.re.numerator * (scale // e.re.denominator),
+             e.im.numerator * (scale // e.im.denominator)) for e in row]
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +337,39 @@ def to_float(m: ExactMatrix) -> FloatMatrix:
 # .mat text format
 # ---------------------------------------------------------------------------
 
-_EXACT_ENTRY = _re.compile(r"^(-?\d+)/(-?\d+)\+(-?\d+)/(-?\d+)i$")
+_RATIONAL = r"(-?\d+)/(-?\d+)"
+_RATIONAL_TOKEN = _re.compile(rf"^{_RATIONAL}$")
+_EXACT_ENTRY = _re.compile(rf"^{_RATIONAL}\+{_RATIONAL}i$")
+
+
+def format_rational(q: Fraction) -> str:
+    return f"{q.numerator}/{q.denominator}"
 
 
 def format_exact_scalar(e: ExactComplex) -> str:
-    return (f"{e.re.numerator}/{e.re.denominator}"
-            f"+{e.im.numerator}/{e.im.denominator}i")
+    return f"{format_rational(e.re)}+{format_rational(e.im)}i"
+
+
+def _rational(p: str, q: str, tok: str, line) -> Fraction:
+    if int(q) == 0:
+        raise FormatError(f"zero denominator in {tok!r}", line)
+    return Fraction(int(p), int(q))
+
+
+def parse_rational(tok: str, line=None) -> Fraction:
+    """Parse one ``p/q`` token; ``line`` is reported on a malformed token."""
+    m = _RATIONAL_TOKEN.match(tok)
+    if not m:
+        raise FormatError(f"bad rational {tok!r}", line)
+    return _rational(*m.groups(), tok, line)
 
 
 def parse_exact_scalar(tok: str, line=None) -> ExactComplex:
     m = _EXACT_ENTRY.match(tok)
     if not m:
         raise FormatError(f"bad exact entry {tok!r}", line)
-    rp, rq, ip, iq = (int(g) for g in m.groups())
-    if rq == 0 or iq == 0:
-        raise FormatError(f"zero denominator in {tok!r}", line)
-    return ExactComplex(Fraction(rp, rq), Fraction(ip, iq))
+    rp, rq, ip, iq = m.groups()
+    return ExactComplex(_rational(rp, rq, tok, line), _rational(ip, iq, tok, line))
 
 
 def format_float_scalar(z: complex) -> str:

@@ -34,7 +34,9 @@ from .scalar_linalg import (
     ExactMatrix,
     coerce_exact,
     format_exact_scalar,
+    format_rational,
     parse_exact_scalar,
+    parse_rational,
 )
 
 # ---------------------------------------------------------------------------
@@ -309,10 +311,8 @@ def write_tsr(path, t: DenseTensor) -> None:
         e = t.entry(idx)
         if e.is_zero():
             continue
-        lines.append(
-            " ".join(str(j) for j in idx)
-            + f" {e.re.numerator}/{e.re.denominator} {e.im.numerator}/{e.im.denominator}"
-        )
+        lines.append(" ".join(str(j) for j in idx)
+                     + f" {format_rational(e.re)} {format_rational(e.im)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -348,14 +348,8 @@ def read_tsr(path) -> DenseTensor:
             idx = tuple(int(tok) for tok in toks[:order])
         except ValueError:
             raise FormatError("bad index", lineno) from None
-        try:
-            re_p, re_q = toks[order].split("/")
-            im_p, im_q = toks[order + 1].split("/")
-            val = ExactComplex(
-                _fraction(re_p, re_q, lineno), _fraction(im_p, im_q, lineno)
-            )
-        except ValueError:
-            raise FormatError("bad rational", lineno) from None
+        val = ExactComplex(parse_rational(toks[order], lineno),
+                           parse_rational(toks[order + 1], lineno))
         flat = 0
         for d, j in zip(dims, idx):
             if not 0 <= j < d:
@@ -363,18 +357,6 @@ def read_tsr(path) -> DenseTensor:
             flat = flat * d + j
         entries[flat] = val
     return DenseTensor(dims, entries)
-
-
-def _fraction(p, q, lineno):
-    from fractions import Fraction
-
-    try:
-        qi = int(q)
-        if qi == 0:
-            raise FormatError("zero denominator", lineno)
-        return Fraction(int(p), qi)
-    except ValueError:
-        raise FormatError("bad rational", lineno) from None
 
 
 def write_dec(path, d: Decomposition) -> None:

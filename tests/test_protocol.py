@@ -257,8 +257,8 @@ def test_coefficient_search_vacuous_on_empty_ones():
 
 
 def test_coefficient_search_exact_families():
-    fam_a = {0: [(exact(1), exact(-1))]}
-    fam_b = {0: [(exact(2),)]}
+    fam_a = {0: [np.array([1, -1], dtype=np.complex128)]}
+    fam_b = {0: [np.array([2], dtype=np.complex128)]}
     res = coefficient_search(fam_a, fam_b, [(0, 0)], set_size_exponent=4, rng_seed=3)
     # v = (a1 - a2) * 2 * b1 must be nonzero, i.e. alpha components differ
     assert res.alpha[0] != res.alpha[1]
@@ -291,15 +291,28 @@ def test_relay_families_admit_coefficients_across_seeds():
 # ---------------------------------------------------------------------------
 
 
-def test_nih_certificate_relay_n1():
-    cert = nih_rank_certificate(trivial_eq_relay_spec(1), equality(1, 3), rng_seed=7)
-    assert cert.ell == 5
-    assert cert.rank_bound == 16
+@pytest.mark.parametrize("n", [1, 2])
+def test_nih_certificate_relay(n):
+    # the grouped matrix has one nonzero per row, in distinct columns
+    cert = nih_rank_certificate(trivial_eq_relay_spec(n), equality(n, 3), rng_seed=7)
+    assert cert.ell == 4 * n + 1
+    assert cert.rank_bound == 2 ** (4 * n)
+    assert cert.grouped_rank == 2 ** n
+    assert cert.pattern_ok
+    assert cert.pattern_rank == 2 ** n
+    assert cert.implied_min_cost == n + 1
+    assert cert.cost_bound_ok
+
+
+@pytest.mark.parametrize("rng_seed", [1, 2, 3])
+def test_nih_certificate_haar_protocol_rank_within_bound(rng_seed):
+    # Haar-random turn unitaries: the float grouped matrix has rank 2; its
+    # third singular value is rounding noise, over 15x below the cutoff
+    spec = random_protocol(3, k=2, ell=2, mode="nih", n=3)
+    cert = nih_rank_certificate(spec, constant(3, 2, 1), rng_seed=rng_seed)
+    assert cert.rank_bound == 2
     assert cert.grouped_rank == 2
     assert cert.pattern_ok
-    assert cert.pattern_rank == 2
-    assert cert.implied_min_cost == 2
-    assert cert.cost_bound_ok
 
 
 def test_nih_certificate_constant_one():

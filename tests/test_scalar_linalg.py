@@ -114,6 +114,39 @@ def test_rank_product_bound(a, b):
     assert exact_rank(a @ b) <= min(exact_rank(a), exact_rank(b))
 
 
+# Gaussian rationals with denominators 1..4 and nonzero imaginary parts
+gaussian_rationals = st.builds(
+    exact,
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4)),
+)
+
+
+def _gaussian_grid(draw, rows, cols):
+    vals = draw(st.lists(gaussian_rationals, min_size=rows * cols, max_size=rows * cols))
+    return ExactMatrix(rows, cols, vals)
+
+
+@st.composite
+def gaussian_rational_matrix(draw, max_side=5):
+    """A dense matrix, or a product A @ B whose inner side, below the row
+    count, makes it rank-deficient."""
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(1, max_side))
+    if rows == 1 or draw(st.booleans()):
+        return _gaussian_grid(draw, rows, cols)
+    inner = draw(st.integers(1, rows - 1))
+    return _gaussian_grid(draw, rows, inner) @ _gaussian_grid(draw, inner, cols)
+
+
+@seed(9)
+@settings(max_examples=80, deadline=None)
+@given(gaussian_rational_matrix())
+def test_rank_matches_minor_oracle_on_gaussian_rationals(m):
+    # exercises denominator clearing and exact division in Z[i]
+    assert exact_rank(m) == minor_rank(m)
+
+
 # ---------------------------------------------------------------------------
 # SVD
 # ---------------------------------------------------------------------------

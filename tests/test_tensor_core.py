@@ -246,6 +246,15 @@ def test_tsr_bad_entry_line(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("token", ["1/0", "x/1", "1/2/3", "1"])
+def test_tsr_bad_rational_line(tmp_path, token):
+    path = tmp_path / "bad.tsr"
+    path.write_text(f"order 3\n2 2 2\n0 0 0 1/1 0/1\n1 1 1 1/1 {token}\n")
+    with pytest.raises(FormatError) as err:
+        read_tsr(path)
+    assert err.value.line == 4
+
+
 def test_tsr_index_out_of_range(tmp_path):
     path = tmp_path / "bad.tsr"
     path.write_text("order 3\n2 2 2\n0 0 5 1/1 0/1\n")
