@@ -168,10 +168,13 @@ def load_truth_table(path, name: str = "custom") -> BooleanFunction:
 
 
 def canonical_tensor(f: BooleanFunction) -> DenseTensor:
-    """The 0/1 communication tensor: entry = f at the index tuple."""
+    """The 0/1 communication tensor: entry = f at the index tuple.
+
+    Every entry is one of the shared scalars ``EC_ONE``/``EC_ZERO``.
+    """
     dims = (f.side,) * f.k
     check_size_cap(dims)
-    return DenseTensor(dims, [exact(f.value(xs)) for xs in f.inputs()])
+    return DenseTensor(dims, [EC_ONE if f.value(xs) else EC_ZERO for xs in f.inputs()])
 
 
 def inner_product_matrix(n: int) -> ExactMatrix:

@@ -3,7 +3,11 @@
 A :class:`DenseTensor` is a flat row-major array (last index fastest) with an
 explicit ``dims`` vector.  A :class:`Decomposition` is a list of rank-1 terms,
 each term being one exact vector per mode; materializing it gives back a dense
-tensor whose rank is at most the term count.
+tensor whose rank is at most the term count.  Materializing is sparse: it costs
+the summed support products of the terms (the number of nonzero components of
+each vector, multiplied over the modes) plus one dense allocation, so a
+superdiagonal witness with ``side`` terms costs ``side`` products, not
+``side`` times the dense size.
 
 Sections follow the usual conventions:
 
@@ -159,16 +163,38 @@ def outer_product(vectors) -> DenseTensor:
 
 
 def materialize(d: Decomposition) -> DenseTensor:
-    """Entrywise sum of the outer products of all terms."""
+    """Entrywise sum of the outer products of all terms.
+
+    Each term is expanded only over the product of its vectors' nonzero
+    components, with row-major flat offsets taken from the strides.  The
+    arithmetic runs on plain ``(re, im)`` pairs: a component is a Python int
+    when its denominator is 1 and stays a ``Fraction`` otherwise, so every
+    sum is exact.  The cost is the summed support products of the terms plus
+    one dense allocation, not the term count times the dense size.
+    """
     check_size_cap(d.dims)
-    total = [EC_ZERO] * math.prod(d.dims)
+    strides = [math.prod(d.dims[m + 1:]) for m in range(d.order)]
+    sums = {}
     for term in d.terms:
-        for flat, idx in enumerate(product(*(range(n) for n in d.dims))):
-            acc = EC_ONE
-            for vec, j in zip(term, idx):
-                acc = acc * vec[j]
-            total[flat] = total[flat] + acc
-    return DenseTensor(d.dims, total)
+        partial = [(0, 1, 0)]  # (flat offset, re, im) over the modes so far
+        for vec, stride in zip(term, strides):
+            support = [(j * stride, _int_or_fraction(e.re), _int_or_fraction(e.im))
+                       for j, e in enumerate(vec) if not e.is_zero()]
+            partial = [(off + o, re * a - im * b, re * b + im * a)
+                       for off, re, im in partial for o, a, b in support]
+        for off, re, im in partial:
+            old_re, old_im = sums.get(off, (0, 0))
+            sums[off] = (old_re + re, old_im + im)
+    entries = [EC_ZERO] * math.prod(d.dims)
+    for off, (re, im) in sums.items():
+        if re or im:
+            entries[off] = ExactComplex(re, im)
+    return DenseTensor(d.dims, entries)
+
+
+def _int_or_fraction(q):
+    """``q`` as a Python int when it is integral, else the Fraction itself."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def superdiagonal(side: int, diag, order: int) -> DenseTensor:

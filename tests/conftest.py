@@ -4,12 +4,26 @@
 nonsingular square submatrix, exact determinants).  It shares no code path
 with the elimination-based rank in the package, so it can serve as an
 independent cross-check on small matrices.
+
+``cli_env`` is the environment for a child ``python -m nqtensor``: the
+``pythonpath`` pytest setting reaches only this process, so the child gets
+the package's ``src`` directory through ``PYTHONPATH``.
 """
 
+import os
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
+import nqtensor
 from nqtensor.scalar_linalg import EC_ONE, EC_ZERO, ExactComplex, ExactMatrix
+
+
+def cli_env() -> dict:
+    """``os.environ`` with the imported package's ``src`` first on PYTHONPATH."""
+    src = str(Path(nqtensor.__file__).resolve().parents[1])
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + rest if rest else src}
 
 
 def exact_det(entries):

@@ -15,6 +15,7 @@ import sys
 
 import pytest
 
+from conftest import cli_env
 from nqtensor.reports import FAIL
 from nqtensor.verify import run_verify_all
 
@@ -136,10 +137,11 @@ def test_criterion_10_determinism_end_to_end(tmp_path):
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        subprocess.run(
+        res = subprocess.run(
             [sys.executable, "-m", "nqtensor", "verify-all", "--seed", str(SEED),
              "--out", str(out)],
-            capture_output=True,
+            capture_output=True, text=True, env=cli_env(),
         )
+        assert res.returncode == 0, res.stderr
         outs.append((out / "verify_all.tsv").read_bytes())
     assert outs[0] == outs[1]

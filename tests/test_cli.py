@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+from conftest import cli_env
 from nqtensor import cli, verify
 from nqtensor.reports import FAIL, Row
 from nqtensor.scalar_linalg import read_mat
@@ -11,7 +12,7 @@ from nqtensor.verify import CriterionResult
 def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "nqtensor", *args],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, env=cli_env(),
     )
 
 

@@ -1,11 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import minor_rank
-from nqtensor.errors import DimMismatch, FormatError
-from nqtensor.functions import canonical_tensor, equality, gip, inner_product_matrix
+from nqtensor.errors import DimMismatch, FormatError, SizeCapExceeded
+from nqtensor.functions import (
+    canonical_tensor,
+    eq_nondet_decomposition,
+    equality,
+    gip,
+    inner_product_matrix,
+)
 from nqtensor.scalar_linalg import EC_ONE, EC_ZERO, exact, exact_rank
 from nqtensor.tensor_core import (
     Decomposition,
@@ -62,6 +71,62 @@ def test_materialize_diagonal_terms_reproduce_superdiagonal():
     d = superdiagonal_decomposition(2, [1, 1], 3)
     assert d.term_count == 2
     assert materialize(d) == superdiagonal(2, [1, 1], 3)
+
+
+def _dense_sum_of_outer_products(d):
+    """Reference: entrywise sum of each term's dense outer product."""
+    entries = [EC_ZERO] * math.prod(d.dims)
+    for term in d.terms:
+        entries = [a + b for a, b in zip(entries, outer_product(term).entries)]
+    return DenseTensor(d.dims, entries)
+
+
+# zeros, integers, and Gaussian rationals with denominators 1..4
+tensor_components = st.one_of(
+    st.just(EC_ZERO),
+    st.builds(exact, st.integers(-3, 3)),
+    st.builds(
+        exact,
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+        st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4)),
+    ),
+)
+
+
+@st.composite
+def decompositions(draw):
+    """Order 2-4, dims 1-3, 0-4 terms; sometimes the last term is the
+    negation of an earlier one, so that pair cancels to an exact zero."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    count = draw(st.integers(0, 4))
+    terms = [
+        tuple(tuple(draw(st.lists(tensor_components, min_size=n, max_size=n)))
+              for n in dims)
+        for _ in range(count)
+    ]
+    if count >= 2 and draw(st.booleans()):
+        first, *rest = terms[draw(st.integers(0, count - 2))]
+        terms[-1] = (tuple(-v for v in first), *rest)
+    return Decomposition(dims, tuple(terms))
+
+
+@seed(10)
+@settings(max_examples=150, deadline=None)
+@given(decompositions())
+def test_materialize_matches_dense_sum_of_outer_products(d):
+    assert materialize(d) == _dense_sum_of_outer_products(d)
+
+
+def test_materialize_is_sparse_over_term_support():
+    # 262,144 entries and 64 terms; a loop over every entry per term would
+    # make about 50 M exact products
+    assert materialize(eq_nondet_decomposition(6, 3)) == superdiagonal(64, [1] * 64, 3)
+
+
+def test_materialize_checks_size_cap(monkeypatch):
+    monkeypatch.setenv("NQTENSOR_SIZE_CAP", "32")
+    with pytest.raises(SizeCapExceeded):
+        materialize(superdiagonal_decomposition(4, [1] * 4, 3))
 
 
 # ---------------------------------------------------------------------------
