@@ -201,6 +201,9 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_nih_extract(args) -> int:
+    # every coefficient up to 2^e must convert exactly to complex128
+    if args.set_size_exponent is not None and not 0 <= args.set_size_exponent <= 53:
+        raise UsageError("--set-size-exponent must be in 0..53")
     if args.scenario:
         spec = read_scenario(args.scenario)
         f = _load_function(args)
@@ -231,6 +234,8 @@ def cmd_nih_extract(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     f = _load_function(args)
     value = nrank_probe(f, args.trials, args.seed)
     rows = [
@@ -264,7 +269,7 @@ def cmd_verify_all(args) -> int:
 
 def _add_common(p, function=True, seed=False, trials=False):
     if function:
-        p.add_argument("--function", default="eq",
+        p.add_argument("--function", default="eq", choices=sorted(FAMILIES),
                        help=f"one of {', '.join(sorted(FAMILIES))}")
         p.add_argument("--truth-table", help="load a custom function from a file")
         p.add_argument("--n", type=int, default=1, help="bits per player")

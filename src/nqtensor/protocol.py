@@ -73,15 +73,6 @@ def unitarity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
-def require_unitary(m: np.ndarray, label: str) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonUnitary(f"{label}: matrix must be square, got {m.shape}")
-    if unitarity_defect(m) > config.UNITARY_TOL:
-        raise NonUnitary(f"{label}: unitarity defect {unitarity_defect(m):.3e}")
-    return m
-
-
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-ish random unitary via QR with the standard phase fix."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -123,6 +114,13 @@ def _swap_channel_into_slot(d: int, slot: int) -> np.ndarray:
 # in NIH mode and say so via `nih_only`.
 
 
+def _named(make, label: str, nih_only: bool = False):
+    """Tag a generator with its turn label and whether it reads its own input."""
+    make.label = label
+    make.nih_only = nih_only
+    return make
+
+
 def gen_write_bit(d: int, n: int, j: int):
     """Channel <- channel xor (bit j of the player's own string)."""
     if not 1 <= j <= n:
@@ -134,9 +132,7 @@ def gen_write_bit(d: int, n: int, j: int):
         bit = (int(visible) >> (n - j)) & 1
         return np.kron(np.eye(d), x_gate if bit else eye2)
 
-    make.label = f"write-bit {j}"
-    make.nih_only = True
-    return make
+    return _named(make, f"write-bit {j}", nih_only=True)
 
 
 def gen_flip_channel(d: int):
@@ -146,9 +142,7 @@ def gen_flip_channel(d: int):
     def make(visible):
         return u
 
-    make.label = "flip-channel"
-    make.nih_only = False
-    return make
+    return _named(make, "flip-channel")
 
 
 def gen_cnot_channel(d: int, slot: int):
@@ -158,9 +152,7 @@ def gen_cnot_channel(d: int, slot: int):
     def make(visible):
         return u
 
-    make.label = f"cnot-channel {slot}"
-    make.nih_only = False
-    return make
+    return _named(make, f"cnot-channel {slot}")
 
 
 def gen_store(d: int, slot: int):
@@ -170,9 +162,7 @@ def gen_store(d: int, slot: int):
     def make(visible):
         return u
 
-    make.label = f"store {slot}"
-    make.nih_only = False
-    return make
+    return _named(make, f"store {slot}")
 
 
 def gen_compare_and_flag(d: int, n: int):
@@ -195,9 +185,7 @@ def gen_compare_and_flag(d: int, n: int):
         own = int(visible)
         return _channel_xor(d, lambda h: 1 if unpack(h, 0) == unpack(h, n) == own else 0)
 
-    make.label = "compare-and-flag"
-    make.nih_only = True
-    return make
+    return _named(make, "compare-and-flag", nih_only=True)
 
 
 def gen_matrix_literal(d: int, matrix: np.ndarray):
@@ -209,9 +197,7 @@ def gen_matrix_literal(d: int, matrix: np.ndarray):
     def make(visible):
         return m
 
-    make.label = "matrix"
-    make.nih_only = False
-    return make
+    return _named(make, "matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +282,12 @@ class BranchState:
     def accepted_transcripts(self):
         return sorted(m for m in self.branches if m and m[-1] == 1)
 
-    def _product_vector(self, vecs) -> np.ndarray:
-        out = np.array([1.0 + 0j])
-        for v in vecs:
-            out = np.kron(out, v)
-        return out
-
     def accept_vector(self) -> np.ndarray:
         """Sum over transcripts ending in 1 of the per-player products."""
         dim = math.prod(self.player_dims)
         acc = np.zeros(dim, dtype=np.complex128)
         for m in self.accepted_transcripts():
-            acc += self._product_vector(self.branches[m])
+            acc += _kron_all(self.branches[m])
         return acc
 
     def accept_probability(self) -> float:
@@ -323,8 +303,31 @@ class BranchState:
         out = np.zeros(dim * 2, dtype=np.complex128)
         for m, vecs in self.branches.items():
             c = m[-1] if m else 0
-            out[c::2] += self._product_vector(vecs)
+            out[c::2] += _kron_all(vecs)
         return out
+
+
+def _kron_all(vecs) -> np.ndarray:
+    """Kronecker product of ``vecs`` in order; [1] for none."""
+    out = np.array([1.0 + 0j])
+    for v in vecs:
+        out = np.kron(out, v)
+    return out
+
+
+def _turn_unitary(spec: ProtocolSpec, idx: int, xs) -> np.ndarray:
+    """Turn ``idx``'s unitary at input ``xs``; :class:`NonUnitary` unless it
+    is a unitary on H_player (x) C."""
+    turn = spec.turns[idx]
+    d = spec.player_dims[turn.player - 1]
+    label = f"turn {idx + 1} ({turn.label})"
+    w = np.asarray(turn.make(spec.visible(turn.player, xs)), dtype=np.complex128)
+    if w.shape != (2 * d, 2 * d):
+        raise NonUnitary(f"{label}: expected {2 * d}x{2 * d}, got {w.shape}")
+    defect = unitarity_defect(w)
+    if defect > config.UNITARY_TOL:
+        raise NonUnitary(f"{label}: unitarity defect {defect:.3e}")
+    return w
 
 
 def simulate_branches(spec: ProtocolSpec, xs) -> BranchState:
@@ -336,14 +339,7 @@ def simulate_branches(spec: ProtocolSpec, xs) -> BranchState:
     norm_history = []
     for idx, turn in enumerate(spec.turns):
         d = spec.player_dims[turn.player - 1]
-        w = require_unitary(
-            turn.make(spec.visible(turn.player, xs)),
-            f"turn {idx + 1} ({turn.label})",
-        )
-        if w.shape != (2 * d, 2 * d):
-            raise NonUnitary(
-                f"turn {idx + 1} ({turn.label}): expected {2 * d}x{2 * d}, got {w.shape}"
-            )
+        w = _turn_unitary(spec, idx, xs)
         new = {}
         for m, vecs in branches.items():
             c = m[-1] if m else 0
@@ -378,10 +374,7 @@ def simulate_dense(spec: ProtocolSpec, xs) -> np.ndarray:
     for idx, turn in enumerate(spec.turns):
         p = turn.player - 1
         d = spec.player_dims[p]
-        w = require_unitary(
-            turn.make(spec.visible(turn.player, xs)),
-            f"turn {idx + 1} ({turn.label})",
-        ).reshape(d, 2, d, 2)
+        w = _turn_unitary(spec, idx, xs).reshape(d, 2, d, 2)
         # contract (player axis, channel axis) with the unitary's input axes
         state = np.tensordot(state, w, axes=([p, k], [2, 3]))
         # tensordot appends the output axes; move the player axis back
@@ -439,9 +432,7 @@ def random_protocol(master_seed: int, k: int, ell: int, mode: str = "nih",
             seq = np.random.SeedSequence([master_seed, _t, _player] + key)
             return haar_unitary(np.random.default_rng(seq), 2 * dim)
 
-        make.label = f"random {t}"
-        make.nih_only = False
-        turns.append(Turn(player, make))
+        turns.append(Turn(player, _named(make, f"random {t}")))
     return ProtocolSpec(mode, k, n, (dim,) * k, tuple(turns))
 
 
@@ -725,17 +716,8 @@ def extract_families(b: BranchState):
         raise DimMismatch("need at least two players to group")
     g = k // 2
     members = b.accepted_transcripts()
-    a_vecs, b_vecs = [], []
-    for m in members:
-        vecs = b.branches[m]
-        a = np.array([1.0 + 0j])
-        for v in vecs[:g]:
-            a = np.kron(a, v)
-        bb = np.array([1.0 + 0j])
-        for v in vecs[g:]:
-            bb = np.kron(bb, v)
-        a_vecs.append(a)
-        b_vecs.append(bb)
+    a_vecs = [_kron_all(b.branches[m][:g]) for m in members]
+    b_vecs = [_kron_all(b.branches[m][g:]) for m in members]
     return members, a_vecs, b_vecs
 
 
@@ -744,6 +726,7 @@ class CoefficientResult:
     alpha: tuple
     beta: tuple
     attempts: int
+    grouped: np.ndarray = field(compare=False, repr=False)
 
 
 def coefficient_search(fam_a: dict, fam_b: dict, ones, set_size_exponent: int,
@@ -753,42 +736,44 @@ def coefficient_search(fam_a: dict, fam_b: dict, ones, set_size_exponent: int,
     ``fam_a`` maps each grouped input y to its list of complex128 family
     vectors (one numpy array per accepted transcript, in a fixed order),
     ``fam_b`` likewise for z.  Coefficients are drawn uniformly from
-    1..2^set_size_exponent.  A draw is accepted when
-    v(y,z) = sum_i (alpha . A_i(y)) (beta . B_i(z)) has |v| > 1e-9 for every
-    (y,z) in ``ones``.
+    1..2^set_size_exponent.  A draw gives the grouped matrix
+    contract(fam_a, alpha) @ contract(fam_b, beta).T, one row per y and one
+    column per z: v(y,z) = sum_i (alpha . A_i(y)) (beta . B_i(z)).  It is
+    accepted, and returned as ``grouped``, when |v| > 1e-9 for every (y,z) in
+    ``ones``.
     """
     ones = list(ones)
     if not fam_a or not fam_b:
         raise DimMismatch("families must be nonempty")
-    a_sample = next(iter(fam_a.values()))
-    b_sample = next(iter(fam_b.values()))
-    if not a_sample or not b_sample:
+    a_vecs, b_vecs = next(iter(fam_a.values())), next(iter(fam_b.values()))
+    if not a_vecs or not b_vecs:
         raise DimMismatch("families must contain at least one vector")
-    d_a = len(a_sample[0])
-    d_b = len(b_sample[0])
+    row = {y: i for i, y in enumerate(fam_a)}
+    col = {z: j for j, z in enumerate(fam_b)}
     rng = random.Random(rng_seed)
     hi = 2 ** set_size_exponent
     for attempt in range(1, max_attempts + 1):
-        alpha = tuple(rng.randint(1, hi) for _ in range(d_a))
-        beta = tuple(rng.randint(1, hi) for _ in range(d_b))
-        if all(not _contracted_is_zero(fam_a[y], fam_b[z], alpha, beta)
-               for (y, z) in ones):
-            return CoefficientResult(alpha, beta, attempt)
+        alpha = tuple(rng.randint(1, hi) for _ in range(len(a_vecs[0])))
+        beta = tuple(rng.randint(1, hi) for _ in range(len(b_vecs[0])))
+        grouped = _contract(fam_a, alpha) @ _contract(fam_b, beta).T
+        if all(abs(grouped[row[y], col[z]]) > config.ACCEPT_EPS for (y, z) in ones):
+            return CoefficientResult(alpha, beta, attempt, grouped)
     raise CoefficientNotFound(f"no coefficients after {max_attempts} attempts")
 
 
-def _contracted_is_zero(a_vectors, b_vectors, alpha, beta) -> bool:
-    alpha_arr = np.array(alpha, dtype=np.complex128)
-    beta_arr = np.array(beta, dtype=np.complex128)
-    total = 0.0 + 0.0j
-    for av, bv in zip(a_vectors, b_vectors):
-        total += (alpha_arr @ av) * (beta_arr @ bv)
-    return abs(total) <= config.ACCEPT_EPS
+def _contract(fam: dict, coeffs) -> np.ndarray:
+    """One row per key of ``fam``: ``coeffs . v`` for each of its vectors."""
+    c = np.array(coeffs, dtype=np.complex128)
+    return np.array([[c @ v for v in vecs] for vecs in fam.values()])
 
 
 @dataclass(frozen=True)
 class NihCertificate:
-    """Outcome of the NIH extraction pipeline for one protocol/function pair."""
+    """Outcome of the NIH extraction pipeline for one protocol/function pair.
+
+    ``families`` is what :func:`nih_families` returned for the pair, so more
+    coefficient searches need no second premise sweep.
+    """
 
     ell: int
     group_split: int
@@ -799,34 +784,31 @@ class NihCertificate:
     implied_min_cost: int
     cost_bound_ok: bool
     attempts: int
+    families: tuple = field(compare=False, repr=False)
 
 
 def nih_families(spec: ProtocolSpec, f: BooleanFunction):
     """Simulate every input, check that the protocol accepts exactly f's
     1-inputs (else :class:`PremiseViolation`), and group the families.
 
-    Returns (ys, zs, fam_a, fam_b, ones): the input tuples of the first
-    floor(k/2) players and of the rest, one grouped vector per accepted
-    transcript for each y (``fam_a``) and each z (``fam_b``), and the (y, z)
-    pairs with f = 1.  A half's vectors are read off at a fixed other half
-    (``zs[0]``, ``ys[0]``): in NIH mode they do not depend on it.
+    Returns (fam_a, fam_b, ones): one grouped vector per accepted transcript
+    for each input tuple y of the first floor(k/2) players (``fam_a``) and
+    each tuple z of the rest (``fam_b``), in lexicographic order, and the
+    (y, z) pairs with f = 1.  A half's vectors are read off where the other
+    half is all zeros: in NIH mode they do not depend on it.
     """
-    states = {}
+    g = f.k // 2
+    fam_a, fam_b = {}, {}
     for xs in f.inputs():
         b = simulate_branches(spec, xs)
-        states[xs] = b
-        accepted = b.accept_probability() > config.ACCEPT_EPS
-        if accepted != (f.value(xs) == 1):
-            raise PremiseViolation(
-                f"protocol acceptance at {xs} disagrees with {f.name}"
-            )
-    g = f.k // 2
-    ys = list(product(range(f.side), repeat=g))
-    zs = list(product(range(f.side), repeat=f.k - g))
-    fam_a = {y: extract_families(states[y + zs[0]])[1] for y in ys}
-    fam_b = {z: extract_families(states[ys[0] + z])[2] for z in zs}
-    ones = [(y, z) for y in ys for z in zs if f.value(y + z) == 1]
-    return ys, zs, fam_a, fam_b, ones
+        if (b.accept_probability() > config.ACCEPT_EPS) != (f.value(xs) == 1):
+            raise PremiseViolation(f"protocol acceptance at {xs} disagrees with {f.name}")
+        if not any(xs[g:]):
+            fam_a[xs[:g]] = extract_families(b)[1]
+        if not any(xs[:g]):
+            fam_b[xs[g:]] = extract_families(b)[2]
+    ones = [(y, z) for y in fam_a for z in fam_b if f.value(y + z) == 1]
+    return fam_a, fam_b, ones
 
 
 def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
@@ -835,12 +817,13 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
     (at most 10 draws), grouped-matrix pattern and rank checks.
 
     The protocol must be strongly nondeterministic for f (verified first,
-    else :class:`PremiseViolation`).  The grouped matrix is certified as a
-    grouped matrization: its zero pattern must match f under the grouping and
-    its rank must not exceed 2^(ell-1).  The grouped matrix is a float matrix
-    built from the simulated branch vectors, so its rank is the numerical
-    rank (:func:`numerical_rank` of its singular values); the 0/1 pattern
-    matrix of f is exact and takes :func:`exact_rank`.
+    else :class:`PremiseViolation`).  The grouped matrix is the one that
+    :func:`coefficient_search` returns.  It is certified as a grouped
+    matrization: its zero pattern must match f under the grouping and its
+    rank must not exceed 2^(ell-1).  It is a float matrix built from the
+    simulated branch vectors, so its rank is the numerical rank
+    (:func:`numerical_rank` of its singular values); the 0/1 pattern matrix
+    of f is exact and takes :func:`exact_rank`.
     """
     if spec.mode != "nih":
         raise PremiseViolation("certificate applies to NIH protocols")
@@ -851,26 +834,14 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
     if set_size_exponent is None:
         set_size_exponent = f.k * f.n + 1
 
-    ys, zs, fam_a, fam_b, ones = nih_families(spec, f)
+    fam_a, fam_b, ones = families = nih_families(spec, f)
     coeff = coefficient_search(fam_a, fam_b, ones, set_size_exponent, rng_seed)
-
-    alpha = np.array(coeff.alpha, dtype=np.complex128)
-    beta = np.array(coeff.beta, dtype=np.complex128)
-    a_scalar = {y: np.array([alpha @ v for v in fam_a[y]]) for y in ys}
-    b_scalar = {z: np.array([beta @ v for v in fam_b[z]]) for z in zs}
-    grouped = np.array([[np.sum(a_scalar[y] * b_scalar[z]) for z in zs] for y in ys])
-
-    pattern_ok = all(
-        (abs(grouped[yi, zi]) > config.ACCEPT_EPS) == (f.value(y + z) == 1)
-        for yi, y in enumerate(ys)
-        for zi, z in enumerate(zs)
-    )
-
+    grouped = coeff.grouped
+    pattern01 = [[f.value(y + z) for z in fam_b] for y in fam_a]
+    pattern_ok = bool(np.array_equal(np.abs(grouped) > config.ACCEPT_EPS,
+                                     np.array(pattern01) == 1))
     grouped_rank = numerical_rank(svd(FloatMatrix(grouped))[1], grouped.shape)
-    pattern01 = ExactMatrix.from_rows(
-        [[f.value(y + z) for z in zs] for y in ys]
-    )
-    pattern_rank = exact_rank(pattern01)
+    pattern_rank = exact_rank(ExactMatrix.from_rows(pattern01))
     implied = (math.ceil(math.log2(pattern_rank)) + 1) if pattern_rank >= 1 else 0
     ell = spec.ell
     return NihCertificate(
@@ -883,5 +854,5 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
         implied_min_cost=implied,
         cost_bound_ok=ell >= implied,
         attempts=coeff.attempts,
+        families=families,
     )
-

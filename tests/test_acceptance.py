@@ -16,6 +16,7 @@ import sys
 import pytest
 
 from conftest import cli_env
+from nqtensor import protocol, verify
 from nqtensor.reports import FAIL
 from nqtensor.verify import run_verify_all
 
@@ -126,6 +127,21 @@ def test_criterion_9_nih_certificate(suite):
     for n in (1, 2):
         assert rows[f"eq_n{n}_relay_pattern_ok"].computed is True
         assert rows[f"eq_n{n}_relay_coefficient_successes_of_20"].computed >= 18
+
+
+def test_criterion_9_sweeps_once(monkeypatch):
+    # one premise sweep per relay size: 2^3 + 4^3 simulated inputs; the
+    # 20-seed coefficient search reuses the certificate's families
+    calls = []
+    simulate = protocol.simulate_branches
+
+    def counted(spec, xs):
+        calls.append(xs)
+        return simulate(spec, xs)
+
+    monkeypatch.setattr(protocol, "simulate_branches", counted)
+    assert verify.criterion_nih_certificate(SEED).passed
+    assert len(calls) == 8 + 64
 
 
 def test_criterion_10_determinism(suite):

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from conftest import cli_env
 from nqtensor import cli, verify
 from nqtensor.reports import FAIL, Row
@@ -130,7 +132,20 @@ def test_corrupted_tsr_is_usage_error(tmp_path):
 
 def test_unknown_function_is_usage_error(tmp_path):
     res = run_cli("build", "--function", "nope", "--out", str(tmp_path))
-    assert res.returncode != 0
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("probe", "--trials", "0"),
+    ("nih-extract", "--set-size-exponent", "-1"),
+    ("nih-extract", "--set-size-exponent", "2000"),
+])
+def test_out_of_range_option_is_usage_error(tmp_path, args):
+    res = run_cli(*args, "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("usage error: ")
+    assert "Traceback" not in res.stderr
 
 
 def test_verify_all_exit_code_reflects_failing_criteria(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from nqtensor.errors import (
     ArityMismatch,
@@ -107,6 +109,14 @@ def test_non_unitary_turn_rejected():
     spec = ProtocolSpec("nih", 2, 1, (2, 2), (Turn(1, bad),))
     with pytest.raises(NonUnitary):
         simulate_branches(spec, (0, 0))
+
+
+@pytest.mark.parametrize("simulate", [simulate_branches, simulate_dense])
+def test_wrongly_sized_turn_unitary_rejected(simulate):
+    # a unitary on a 1-qubit player plus the channel, for a 2-qubit player
+    spec = ProtocolSpec("nih", 2, 1, (4, 2), (Turn(1, lambda visible: np.eye(4)),))
+    with pytest.raises(NonUnitary, match="expected 8x8"):
+        simulate(spec, (0, 0))
 
 
 def test_input_validation():
@@ -269,6 +279,35 @@ def test_coefficient_search_not_found():
     fam_b = {0: [np.array([1.0 + 0j])]}
     with pytest.raises(CoefficientNotFound):
         coefficient_search(fam_a, fam_b, [(0, 0)], 3, rng_seed=4, max_attempts=5)
+
+
+@st.composite
+def integer_families(draw):
+    # fam_a / fam_b: keys -> equally many integer-valued complex vectors
+    count = draw(st.integers(1, 3))
+    ints = st.integers(-3, 3)
+
+    def family(keys, dim):
+        return {key: [np.array([complex(draw(ints), draw(ints)) for _ in range(dim)])
+                      for _ in range(count)] for key in range(keys)}
+
+    fam_a = family(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    fam_b = family(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    return fam_a, fam_b, draw(st.integers(0, 2 ** 16))
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None)
+@given(integer_families())
+def test_coefficient_search_grouped_matches_per_pair_sum(case):
+    fam_a, fam_b, rng_seed = case
+    res = coefficient_search(fam_a, fam_b, [], set_size_exponent=4, rng_seed=rng_seed)
+    alpha = np.array(res.alpha, dtype=np.complex128)
+    beta = np.array(res.beta, dtype=np.complex128)
+    oracle = [[sum((alpha @ a) * (beta @ b) for a, b in zip(fam_a[y], fam_b[z]))
+               for z in fam_b] for y in fam_a]
+    # small Gaussian integers: every sum is exact in complex128
+    assert np.array_equal(res.grouped, np.array(oracle))
 
 
 def test_relay_families_admit_coefficients_across_seeds():
