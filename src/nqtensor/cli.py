@@ -207,6 +207,8 @@ def cmd_nih_extract(args) -> int:
     if args.scenario:
         spec = read_scenario(args.scenario)
         f = _load_function(args)
+    elif args.truth_table:
+        raise UsageError("nih-extract needs --scenario for a --truth-table function")
     elif args.function == "eq":
         if args.k != 3:
             raise UsageError("the built-in relay protocol is 3-party")

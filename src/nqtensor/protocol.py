@@ -14,15 +14,18 @@ accepts with the probability of measuring the channel in |1> at the end.
 Three views of a protocol live here:
 
 * a branch-form simulator, splitting the state along channel basis states so
-  the result is a sum over transcripts of per-player product vectors;
+  the result is a sum over transcripts of per-player product vectors; a
+  transcript whose product is exactly zero is dropped as soon as it is, so a
+  classical protocol keeps one live transcript per input;
 * a dense statevector simulator used as an independent cross-check;
 * the SVD route: compress one grouped half of a nondeterministic tensor into
   ceil(log2 r) qubits and read the acceptance amplitude off the factors.
 
-On top of the branch form sits the extraction pipeline: restrict to the
-accepted transcripts, group the players into two halves, contract each half
-with integer coefficients, and certify the zero pattern and rank of the
-resulting grouped matrix.
+On top of the branch form sits the extraction pipeline: group the players
+into two halves, keep each input's accepted vector as a matrix over the two
+halves (a sum over its live accepted transcripts of at most 2^(ell-1)
+products), contract it with integer coefficients on both sides, and certify
+the zero pattern and rank of the resulting grouped matrix.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .errors import (
     NormalizationError,
     PatternMismatch,
     PremiseViolation,
+    SizeCapExceeded,
 )
 from .functions import BooleanFunction
 from .rank_bounds import pattern_check
@@ -263,9 +267,11 @@ class ProtocolSpec:
 class BranchState:
     """State after ell turns, split along channel transcripts.
 
-    ``branches`` maps each transcript m (tuple of ell bits) to one vector per
-    player; the physical state is the sum over m of the per-player product
-    tensored with the channel basis vector |m_ell>.
+    ``branches`` maps each live transcript m (tuple of ell bits) to one
+    vector per player; the physical state is the sum over m of the
+    per-player product tensored with the channel basis vector |m_ell>.  A
+    transcript is live unless one of its player vectors became exactly zero;
+    the others add exactly zero to the state and are left out.
     """
 
     player_dims: tuple
@@ -331,12 +337,20 @@ def _turn_unitary(spec: ProtocolSpec, idx: int, xs) -> np.ndarray:
 
 
 def simulate_branches(spec: ProtocolSpec, xs) -> BranchState:
-    """Run the protocol, splitting one branch per channel basis state."""
+    """Run the protocol, splitting one branch per channel basis state.
+
+    A child whose new player vector is exactly zero is dropped: its product,
+    and so its share of every sum over branches, is exactly zero.  Raises
+    :class:`SizeCapExceeded` once the live branches times the summed player
+    dimensions exceed :func:`config.size_cap`.
+    """
     xs = spec.check_input(xs)
     branches = {
         (): tuple(np.eye(d, dtype=np.complex128)[:, 0] for d in spec.player_dims)
     }
     norm_history = []
+    entries_per_branch = sum(spec.player_dims)
+    cap = config.size_cap()
     for idx, turn in enumerate(spec.turns):
         d = spec.player_dims[turn.player - 1]
         w = _turn_unitary(spec, idx, xs)
@@ -346,10 +360,16 @@ def simulate_branches(spec: ProtocolSpec, xs) -> BranchState:
             inp = np.kron(vecs[turn.player - 1], np.eye(2)[:, c])
             out = (w @ inp).reshape(d, 2)
             for c2 in (0, 1):
+                if not out[:, c2].any():
+                    continue
                 child = list(vecs)
                 child[turn.player - 1] = out[:, c2].copy()
                 new[m + (c2,)] = tuple(child)
         branches = new
+        if len(branches) * entries_per_branch > cap:
+            raise SizeCapExceeded(
+                f"turn {idx + 1}: {len(branches)} live branches x "
+                f"{entries_per_branch} entries exceed cap {cap}")
         norm_history.append(_total_sq_norm(branches))
     return BranchState(spec.player_dims, branches, tuple(norm_history))
 
@@ -705,11 +725,11 @@ def strong_nondet_check(p: NofProtocol, f: BooleanFunction, dummy: int = 0) -> S
 
 
 def extract_families(b: BranchState):
-    """Split the accepted transcripts into two grouped vector families.
+    """Split the live accepted transcripts into two grouped vector families.
 
-    Returns (members, a_vectors, b_vectors): for each transcript m ending in
-    1, the product of the first floor(k/2) players' vectors and the product
-    of the rest.  Family size is 2^(ell-1).
+    Returns (members, a_vectors, b_vectors): for each live transcript m
+    ending in 1, the product of the first floor(k/2) players' vectors and the
+    product of the rest.  Family size is at most 2^(ell-1).
     """
     k = len(b.player_dims)
     if k < 2:
@@ -729,50 +749,42 @@ class CoefficientResult:
     grouped: np.ndarray = field(compare=False, repr=False)
 
 
-def coefficient_search(fam_a: dict, fam_b: dict, ones, set_size_exponent: int,
-                       rng_seed: int, max_attempts: int = 10) -> CoefficientResult:
+def coefficient_search(families: np.ndarray, ones, set_size_exponent: int,
+                       rng_seed: int, *, max_attempts: int = 10) -> CoefficientResult:
     """Sample integer contraction coefficients until every 1-input survives.
 
-    ``fam_a`` maps each grouped input y to its list of complex128 family
-    vectors (one numpy array per accepted transcript, in a fixed order),
-    ``fam_b`` likewise for z.  Coefficients are drawn uniformly from
+    ``families[i, j]`` is the accepted vector of the input (y_i, z_j) as a
+    Da x Db complex128 matrix M(y_i, z_j) (see :func:`nih_families`), and
+    ``ones`` is a boolean mask of the same (y, z) grid.  Coefficients alpha
+    (Da of them) and beta (Db) are drawn uniformly from
     1..2^set_size_exponent.  A draw gives the grouped matrix
-    contract(fam_a, alpha) @ contract(fam_b, beta).T, one row per y and one
-    column per z: v(y,z) = sum_i (alpha . A_i(y)) (beta . B_i(z)).  It is
-    accepted, and returned as ``grouped``, when |v| > 1e-9 for every (y,z) in
-    ``ones``.
+    v(y,z) = alpha^T M(y,z) beta = sum_m (alpha . a_m(y)) (beta . b_m(z)).
+    It is accepted, and returned as ``grouped``, when |v| > 1e-9 wherever
+    ``ones`` is true.
     """
-    ones = list(ones)
-    if not fam_a or not fam_b:
+    if families.size == 0:
         raise DimMismatch("families must be nonempty")
-    a_vecs, b_vecs = next(iter(fam_a.values())), next(iter(fam_b.values()))
-    if not a_vecs or not b_vecs:
-        raise DimMismatch("families must contain at least one vector")
-    row = {y: i for i, y in enumerate(fam_a)}
-    col = {z: j for j, z in enumerate(fam_b)}
+    da, db = families.shape[2:]
     rng = random.Random(rng_seed)
     hi = 2 ** set_size_exponent
     for attempt in range(1, max_attempts + 1):
-        alpha = tuple(rng.randint(1, hi) for _ in range(len(a_vecs[0])))
-        beta = tuple(rng.randint(1, hi) for _ in range(len(b_vecs[0])))
-        grouped = _contract(fam_a, alpha) @ _contract(fam_b, beta).T
-        if all(abs(grouped[row[y], col[z]]) > config.ACCEPT_EPS for (y, z) in ones):
+        alpha = tuple(rng.randint(1, hi) for _ in range(da))
+        beta = tuple(rng.randint(1, hi) for _ in range(db))
+        a = np.array(alpha, dtype=np.complex128)
+        b = np.array(beta, dtype=np.complex128)
+        grouped = families @ b @ a
+        if np.all(np.abs(grouped[ones]) > config.ACCEPT_EPS):
             return CoefficientResult(alpha, beta, attempt, grouped)
     raise CoefficientNotFound(f"no coefficients after {max_attempts} attempts")
-
-
-def _contract(fam: dict, coeffs) -> np.ndarray:
-    """One row per key of ``fam``: ``coeffs . v`` for each of its vectors."""
-    c = np.array(coeffs, dtype=np.complex128)
-    return np.array([[c @ v for v in vecs] for vecs in fam.values()])
 
 
 @dataclass(frozen=True)
 class NihCertificate:
     """Outcome of the NIH extraction pipeline for one protocol/function pair.
 
-    ``families`` is what :func:`nih_families` returned for the pair, so more
-    coefficient searches need no second premise sweep.
+    ``families`` is what :func:`nih_families` returned for the pair (every
+    input's accepted matrix and the mask of f = 1), so more coefficient
+    searches need no second premise sweep.
     """
 
     ell: int
@@ -789,26 +801,33 @@ class NihCertificate:
 
 def nih_families(spec: ProtocolSpec, f: BooleanFunction):
     """Simulate every input, check that the protocol accepts exactly f's
-    1-inputs (else :class:`PremiseViolation`), and group the families.
+    1-inputs (else :class:`PremiseViolation`), and keep each input's
+    accepted vector.
 
-    Returns (fam_a, fam_b, ones): one grouped vector per accepted transcript
-    for each input tuple y of the first floor(k/2) players (``fam_a``) and
-    each tuple z of the rest (``fam_b``), in lexicographic order, and the
-    (y, z) pairs with f = 1.  A half's vectors are read off where the other
-    half is all zeros: in NIH mode they do not depend on it.
+    Returns (families, ones), indexed by (y, z): y runs over the input tuples
+    of the first floor(k/2) players and z over the rest's, both in
+    lexicographic order.  ``families[y, z]`` is the input's accepted vector
+    as a Da x Db matrix, Da and Db the dimensions of the two player groups:
+    M(y,z) = sum_m a_m(y) b_m(z)^T over its live accepted transcripts m,
+    with a_m and b_m from :func:`extract_families`.  ``ones`` is the boolean
+    mask of f = 1.  Each input keeps its own matrix because the transcripts
+    that are live differ from input to input.
     """
     g = f.k // 2
-    fam_a, fam_b = {}, {}
+    shape = (f.side ** g, f.side ** (f.k - g))
+    families = np.zeros(shape + (math.prod(spec.player_dims[:g]),
+                                 math.prod(spec.player_dims[g:])), dtype=np.complex128)
+    ones = np.zeros(shape, dtype=bool)
     for xs in f.inputs():
         b = simulate_branches(spec, xs)
         if (b.accept_probability() > config.ACCEPT_EPS) != (f.value(xs) == 1):
             raise PremiseViolation(f"protocol acceptance at {xs} disagrees with {f.name}")
-        if not any(xs[g:]):
-            fam_a[xs[:g]] = extract_families(b)[1]
-        if not any(xs[:g]):
-            fam_b[xs[g:]] = extract_families(b)[2]
-    ones = [(y, z) for y in fam_a for z in fam_b if f.value(y + z) == 1]
-    return fam_a, fam_b, ones
+        yz = divmod(_flat((f.side,) * f.k, xs), shape[1])
+        _, a_vecs, b_vecs = extract_families(b)
+        for a, v in zip(a_vecs, b_vecs):
+            families[yz] += np.outer(a, v)
+        ones[yz] = f.value(xs) == 1
+    return families, ones
 
 
 def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
@@ -821,7 +840,7 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
     :func:`coefficient_search` returns.  It is certified as a grouped
     matrization: its zero pattern must match f under the grouping and its
     rank must not exceed 2^(ell-1).  It is a float matrix built from the
-    simulated branch vectors, so its rank is the numerical rank
+    inputs' accepted matrices, so its rank is the numerical rank
     (:func:`numerical_rank` of its singular values); the 0/1 pattern matrix
     of f is exact and takes :func:`exact_rank`.
     """
@@ -834,14 +853,12 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
     if set_size_exponent is None:
         set_size_exponent = f.k * f.n + 1
 
-    fam_a, fam_b, ones = families = nih_families(spec, f)
-    coeff = coefficient_search(fam_a, fam_b, ones, set_size_exponent, rng_seed)
+    families, ones = nih_families(spec, f)
+    coeff = coefficient_search(families, ones, set_size_exponent, rng_seed)
     grouped = coeff.grouped
-    pattern01 = [[f.value(y + z) for z in fam_b] for y in fam_a]
-    pattern_ok = bool(np.array_equal(np.abs(grouped) > config.ACCEPT_EPS,
-                                     np.array(pattern01) == 1))
+    pattern_ok = bool(np.array_equal(np.abs(grouped) > config.ACCEPT_EPS, ones))
     grouped_rank = numerical_rank(svd(FloatMatrix(grouped))[1], grouped.shape)
-    pattern_rank = exact_rank(ExactMatrix.from_rows(pattern01))
+    pattern_rank = exact_rank(ExactMatrix.from_rows(ones.astype(int).tolist()))
     implied = (math.ceil(math.log2(pattern_rank)) + 1) if pattern_rank >= 1 else 0
     ell = spec.ell
     return NihCertificate(
@@ -854,5 +871,5 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
         implied_min_cost=implied,
         cost_bound_ok=ell >= implied,
         attempts=coeff.attempts,
-        families=families,
+        families=(families, ones),
     )

@@ -260,11 +260,11 @@ def criterion_nih_certificate(seed) -> CriterionResult:
                               True, "literature"))
 
         # coefficient search success rate over 20 seeds on the same families
-        fam_a, fam_b, ones = cert.families
+        families, ones = cert.families
         successes = 0
         for s in range(1, 21):
             try:
-                coefficient_search(fam_a, fam_b, ones, set_size_exponent=f.k * f.n + 1,
+                coefficient_search(families, ones, set_size_exponent=f.k * f.n + 1,
                                    rng_seed=seed * 10_007 + s, max_attempts=10)
                 successes += 1
             except CoefficientNotFound:

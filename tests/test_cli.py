@@ -184,6 +184,21 @@ def test_nih_extract_from_scenario(tmp_path):
     assert "pattern_ok\ttrue" in res.stdout
 
 
+def test_nih_extract_truth_table_needs_scenario(tmp_path):
+    # without --scenario there is no protocol for a custom function; the
+    # default --function eq must not be certified in its place
+    tt = tmp_path / "xor.tt"
+    tt.write_text("".join(f"{x} {y} {z} {x ^ y ^ z}\n"
+                          for x in range(2) for y in range(2) for z in range(2)))
+    res = run_cli("nih-extract", "--truth-table", str(tt), "--n", "1", "--k", "3",
+                  "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("usage error: ")
+    assert "--scenario" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "nih_eq_1_3.tsv").exists()
+
+
 def test_verify_all_single_gip_instance_degenerate(tmp_path):
     res = run_cli("verify-all", "--seed", "1", "--n", "1", "--k", "3",
                   "--out", str(tmp_path))

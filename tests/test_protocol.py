@@ -14,6 +14,7 @@ from nqtensor.errors import (
     NormalizationError,
     PatternMismatch,
     PremiseViolation,
+    SizeCapExceeded,
 )
 from nqtensor.functions import (
     constant,
@@ -30,6 +31,12 @@ from nqtensor.protocol import (
     coefficient_search,
     constant_one_spec,
     extract_families,
+    gen_cnot_channel,
+    gen_matrix_literal,
+    gen_store,
+    gen_write_bit,
+    haar_unitary,
+    nih_families,
     nih_rank_certificate,
     random_protocol,
     read_scenario,
@@ -61,12 +68,12 @@ def test_zero_turn_protocol():
 def test_flip_channel_moves_all_mass_to_branch_one():
     spec = constant_one_spec()
     b = simulate_branches(spec, (0, 0))
-    assert set(b.branches) == {(0,), (1,)}
+    # branch (0,) is exactly zero, so it is pruned
+    assert set(b.branches) == {(1,)}
 
     def branch_mass(m):
         return math.prod(float(np.vdot(v, v).real) for v in b.branches[m])
 
-    assert branch_mass((0,)) == 0.0
     assert abs(branch_mass((1,)) - 1.0) < 1e-12
     assert abs(b.accept_probability() - 1.0) < 1e-12
 
@@ -90,6 +97,58 @@ def test_branch_form_matches_dense_simulation():
         dense = simulate_dense(spec, xs)
         assert np.max(np.abs(b.recontract() - dense)) < 1e-9
         assert all(abs(1.0 - v) < 1e-9 for v in b.norm_history)
+
+
+@st.composite
+def mixed_protocols(draw):
+    # NIH protocols mixing Haar turns with classical ones; a classical turn
+    # on a basis-state branch leaves one child exactly zero, so those prune
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 2))
+    dims = tuple(draw(st.sampled_from((2, 4))) for _ in range(k))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    turns = []
+    for _ in range(draw(st.integers(1, 6))):
+        player = draw(st.integers(1, k))
+        d = dims[player - 1]
+        kind = draw(st.sampled_from(("haar", "write-bit", "store", "cnot-channel")))
+        if kind == "haar":
+            make = gen_matrix_literal(d, haar_unitary(rng, 2 * d))
+        elif kind == "write-bit":
+            make = gen_write_bit(d, n, draw(st.integers(1, n)))
+        elif kind == "store":
+            make = gen_store(d, draw(st.integers(1, d.bit_length() - 1)))
+        else:
+            make = gen_cnot_channel(d, draw(st.integers(1, d.bit_length() - 1)))
+        turns.append(Turn(player, make))
+    xs = tuple(draw(st.integers(0, 2 ** n - 1)) for _ in range(k))
+    return ProtocolSpec("nih", k, n, dims, tuple(turns)), xs
+
+
+@seed(7)
+@settings(max_examples=80, deadline=None)
+@given(mixed_protocols())
+def test_pruned_branches_match_dense_simulation(case):
+    spec, xs = case
+    b = simulate_branches(spec, xs)
+    dense = simulate_dense(spec, xs)
+    assert np.max(np.abs(b.recontract() - dense)) < 1e-9
+    assert all(abs(1.0 - v) < 1e-9 for v in b.norm_history)
+    accepted = dense[1::2]
+    assert abs(b.accept_probability() - float(np.vdot(accepted, accepted).real)) < 1e-9
+    if all(t.label == "matrix" for t in spec.turns):
+        assert len(b.branches) == 2 ** spec.ell   # Haar turns prune nothing
+    elif spec.turns[0].label != "matrix":
+        assert len(b.branches) < 2 ** spec.ell
+
+
+def test_branch_blowup_exceeds_size_cap(monkeypatch):
+    # live branches x sum of player dims: 64 x 6 for six Haar turns, against
+    # 1 x 20 for the pruned n = 2 relay (512 x 20 unpruned)
+    monkeypatch.setenv("NQTENSOR_SIZE_CAP", "256")
+    with pytest.raises(SizeCapExceeded, match="live branches"):
+        simulate_branches(random_protocol(5, k=3, ell=6), (0, 1, 0))
+    assert len(simulate_branches(trivial_eq_relay_spec(2), (1, 1, 1)).branches) == 1
 
 
 def test_branch_form_matches_dense_for_relay_protocol():
@@ -128,8 +187,6 @@ def test_input_validation():
 
 
 def test_nof_mode_rejects_own_input_generators():
-    from nqtensor.protocol import gen_write_bit
-
     with pytest.raises(ValueError):
         ProtocolSpec("nof", 2, 1, (2, 2), (Turn(1, gen_write_bit(2, 1, 1)),))
 
@@ -252,10 +309,22 @@ def test_extract_families_size_is_half_the_branches():
         assert b_vecs[0].shape == (4,)       # remaining 2 players
 
 
+def pair_families(fam_a, fam_b):
+    """The (y, z) grid of accepted matrices sum_i A_i(y) B_i(z)^T built from
+    per-pair vector families."""
+    return np.array([[sum(np.outer(a, b) for a, b in zip(fam_a[y], fam_b[z]))
+                      for z in fam_b] for y in fam_a])
+
+
+ONE_ONE = np.array([[True]])
+NO_ONES = np.array([[False]])
+
+
 def test_coefficient_search_trivial():
     fam_a = {0: [np.array([1.0 + 0j])]}
     fam_b = {0: [np.array([1.0 + 0j])]}
-    res = coefficient_search(fam_a, fam_b, [(0, 0)], set_size_exponent=3, rng_seed=1)
+    res = coefficient_search(pair_families(fam_a, fam_b), ONE_ONE,
+                             set_size_exponent=3, rng_seed=1)
     assert res.attempts == 1
     assert all(c >= 1 for c in res.alpha + res.beta)
 
@@ -263,13 +332,15 @@ def test_coefficient_search_trivial():
 def test_coefficient_search_vacuous_on_empty_ones():
     fam_a = {0: [np.array([0.0 + 0j])]}
     fam_b = {0: [np.array([0.0 + 0j])]}
-    assert coefficient_search(fam_a, fam_b, [], 3, rng_seed=2).attempts == 1
+    assert coefficient_search(pair_families(fam_a, fam_b), NO_ONES, 3,
+                              rng_seed=2).attempts == 1
 
 
 def test_coefficient_search_exact_families():
     fam_a = {0: [np.array([1, -1], dtype=np.complex128)]}
     fam_b = {0: [np.array([2], dtype=np.complex128)]}
-    res = coefficient_search(fam_a, fam_b, [(0, 0)], set_size_exponent=4, rng_seed=3)
+    res = coefficient_search(pair_families(fam_a, fam_b), ONE_ONE,
+                             set_size_exponent=4, rng_seed=3)
     # v = (a1 - a2) * 2 * b1 must be nonzero, i.e. alpha components differ
     assert res.alpha[0] != res.alpha[1]
 
@@ -278,7 +349,8 @@ def test_coefficient_search_not_found():
     fam_a = {0: [np.array([0.0 + 0j])]}
     fam_b = {0: [np.array([1.0 + 0j])]}
     with pytest.raises(CoefficientNotFound):
-        coefficient_search(fam_a, fam_b, [(0, 0)], 3, rng_seed=4, max_attempts=5)
+        coefficient_search(pair_families(fam_a, fam_b), ONE_ONE, 3, rng_seed=4,
+                           max_attempts=5)
 
 
 @st.composite
@@ -301,7 +373,9 @@ def integer_families(draw):
 @given(integer_families())
 def test_coefficient_search_grouped_matches_per_pair_sum(case):
     fam_a, fam_b, rng_seed = case
-    res = coefficient_search(fam_a, fam_b, [], set_size_exponent=4, rng_seed=rng_seed)
+    families = pair_families(fam_a, fam_b)
+    res = coefficient_search(families, np.zeros(families.shape[:2], dtype=bool),
+                             set_size_exponent=4, rng_seed=rng_seed)
     alpha = np.array(res.alpha, dtype=np.complex128)
     beta = np.array(res.beta, dtype=np.complex128)
     oracle = [[sum((alpha @ a) * (beta @ b) for a, b in zip(fam_a[y], fam_b[z]))
@@ -311,18 +385,29 @@ def test_coefficient_search_grouped_matches_per_pair_sum(case):
 
 
 def test_relay_families_admit_coefficients_across_seeds():
-    spec = trivial_eq_relay_spec(1)
-    f = equality(1, 3)
-    states = {xs: simulate_branches(spec, xs) for xs in f.inputs()}
-    fam_a = {(y,): extract_families(states[(y, 0, 0)])[1] for y in range(2)}
-    fam_b = {z: extract_families(states[(0,) + z])[2]
-             for z in ((0, 0), (0, 1), (1, 0), (1, 1))}
-    ones = [((y,), z) for y in range(2) for z in fam_b if (y,) + z in states
-            and f.value((y,) + z) == 1]
+    families, ones = nih_families(trivial_eq_relay_spec(1), equality(1, 3))
     for s in range(1, 6):
-        res = coefficient_search(fam_a, fam_b, ones, set_size_exponent=4,
+        res = coefficient_search(families, ones, set_size_exponent=4,
                                  rng_seed=s, max_attempts=10)
         assert res.attempts <= 10
+
+
+def test_relay_grouped_matrix_matches_dense_accepted_amplitudes():
+    # grouped[y, z] = alpha^T M(y,z) beta with M(y,z) the dense c = 1 half
+    # at (y, z), reshaped Da x Db; the relay's integers make it exact.  Every
+    # input counts: a transcript live at (y, z) may be dead at (y, 0, 0)
+    spec = trivial_eq_relay_spec(2)
+    f = equality(2, 3)
+    families, ones = nih_families(spec, f)
+    res = coefficient_search(families, ones, set_size_exponent=7, rng_seed=7)
+    alpha = np.array(res.alpha, dtype=np.complex128)
+    beta = np.array(res.beta, dtype=np.complex128)
+    oracle = np.zeros((4, 16), dtype=np.complex128)
+    for xs in f.inputs():
+        accepted = simulate_dense(spec, xs)[1::2].reshape(2, 32)
+        oracle[xs[0], xs[1] * 4 + xs[2]] = alpha @ accepted @ beta
+    assert np.array_equal(res.grouped, oracle)
+    assert np.count_nonzero(oracle) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +425,16 @@ def test_nih_certificate_relay(n):
     assert cert.pattern_ok
     assert cert.pattern_rank == 2 ** n
     assert cert.implied_min_cost == n + 1
+    assert cert.cost_bound_ok
+
+
+def test_nih_certificate_relay_n3():
+    # 13 turns and 512 inputs: feasible because each input keeps one live
+    # branch instead of 2^13
+    cert = nih_rank_certificate(trivial_eq_relay_spec(3), equality(3, 3), rng_seed=7)
+    assert cert.ell == 13
+    assert cert.grouped_rank == 8
+    assert cert.pattern_ok
     assert cert.cost_bound_ok
 
 
