@@ -170,7 +170,7 @@ def cmd_protocol(args) -> int:
         Row("lifted", proto.lifted, "-", "direct", INFO),
     ]
     stem = f"nof_{f.name}_{f.n}_{f.k}"
-    if args.protocol_cmd == "sweep" or args.sweep:
+    if args.protocol_cmd == "sweep":
         rep = strong_nondet_check(proto, f, dummy=args.lift_dummy)
         rows += [
             check_row("sweep_decisions_ok", rep.passed, True, "derived"),
@@ -318,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                       ("sweep", "exhaustive strong-nondeterminism sweep")):
         q = psub.add_parser(name, help=hlp)
         _add_common(q)
-        q.add_argument("--input", help="comma-separated input strings as integers")
-        q.add_argument("--sweep", action="store_true")
+        if name == "nof":
+            q.add_argument("--input", help="comma-separated input strings as integers")
         q.add_argument("--lift-dummy", type=int, default=0)
         q.set_defaults(fn=cmd_protocol)
 

@@ -63,6 +63,7 @@ from .scalar_linalg import (
 from .tensor_core import (
     Decomposition,
     DenseTensor,
+    flat_offset,
     group_matrize,
     lift_order,
     materialize,
@@ -331,7 +332,7 @@ def _turn_unitary(spec: ProtocolSpec, idx: int, xs) -> np.ndarray:
     if w.shape != (2 * d, 2 * d):
         raise NonUnitary(f"{label}: expected {2 * d}x{2 * d}, got {w.shape}")
     defect = unitarity_defect(w)
-    if defect > config.UNITARY_TOL:
+    if not defect <= config.UNITARY_TOL:  # a NaN defect fails too
         raise NonUnitary(f"{label}: unitarity defect {defect:.3e}")
     return w
 
@@ -603,15 +604,11 @@ def build_nof_protocol(d: Decomposition, f: BooleanFunction) -> NofProtocol:
     t = materialize(d)
     if not pattern_check(t, f):
         raise PatternMismatch(f"decomposition does not match {f.name}")
-    if f.k % 2 == 1:
-        worked = lift_order(d, LIFT_LENGTH)
-        lifted = True
-    else:
-        worked = d
-        lifted = False
+    lifted = f.k % 2 == 1
+    worked = materialize(lift_order(d, LIFT_LENGTH)) if lifted else t
     dims = worked.dims
     split = len(dims) // 2
-    g = group_matrize(materialize(worked), split)
+    g = group_matrize(worked, split)
     u, s, v = svd(to_float(g))
     r = numerical_rank(s, (g.rows, g.cols))
     q = math.ceil(math.log2(r)) if r >= 1 else 0
@@ -630,13 +627,6 @@ def build_nof_protocol(d: Decomposition, f: BooleanFunction) -> NofProtocol:
     )
 
 
-def _flat(dims, idx) -> int:
-    out = 0
-    for d, j in zip(dims, idx):
-        out = out * d + j
-    return out
-
-
 def run_nof(p: NofProtocol, xs, dummy: int = 0) -> AcceptanceResult:
     """Execute the protocol algebra on one input.
 
@@ -650,8 +640,8 @@ def run_nof(p: NofProtocol, xs, dummy: int = 0) -> AcceptanceResult:
     work = xs + (dummy,) if p.lifted else xs
     if p.lifted and not 0 <= dummy < LIFT_LENGTH:
         raise ArityMismatch(f"dummy index {dummy} out of range")
-    row = _flat(p.work_dims[:p.split], work[:p.split])
-    col = _flat(p.work_dims[p.split:], work[p.split:])
+    row = flat_offset(p.work_dims[:p.split], work[:p.split])
+    col = flat_offset(p.work_dims[p.split:], work[p.split:])
 
     sigma = np.array(p.sigma)
     phi = sigma[:p.r] * p.v.array[:p.r, col]
@@ -818,11 +808,11 @@ def nih_families(spec: ProtocolSpec, f: BooleanFunction):
     families = np.zeros(shape + (math.prod(spec.player_dims[:g]),
                                  math.prod(spec.player_dims[g:])), dtype=np.complex128)
     ones = np.zeros(shape, dtype=bool)
-    for xs in f.inputs():
+    for pos, xs in enumerate(f.inputs()):
         b = simulate_branches(spec, xs)
         if (b.accept_probability() > config.ACCEPT_EPS) != (f.value(xs) == 1):
             raise PremiseViolation(f"protocol acceptance at {xs} disagrees with {f.name}")
-        yz = divmod(_flat((f.side,) * f.k, xs), shape[1])
+        yz = divmod(pos, shape[1])
         _, a_vecs, b_vecs = extract_families(b)
         for a, v in zip(a_vecs, b_vecs):
             families[yz] += np.outer(a, v)

@@ -183,9 +183,9 @@ class ExactMatrix:
 class FloatMatrix:
     """Immutable complex128 matrix; entries must be finite."""
 
-    __slots__ = ("array", "max_rel_error")
+    __slots__ = ("array",)
 
-    def __init__(self, array, max_rel_error: float = 0.0):
+    def __init__(self, array):
         arr = np.array(array, dtype=np.complex128)
         if arr.ndim != 2:
             raise DimMismatch("FloatMatrix needs a 2-D array")
@@ -193,7 +193,6 @@ class FloatMatrix:
             raise ValueError("FloatMatrix entries must be finite")
         arr.setflags(write=False)
         self.array = arr
-        self.max_rel_error = max_rel_error
 
     @property
     def rows(self) -> int:
@@ -314,23 +313,10 @@ def numerical_rank(sigma, shape) -> int:
 def to_float(m: ExactMatrix) -> FloatMatrix:
     """Entrywise nearest-binary64 image of an exact matrix.
 
-    The worst relative conversion error over all nonzero components is
-    recorded on the result as ``max_rel_error``.  Raises ``OverflowError``
-    when a magnitude exceeds the binary64 range.
+    Raises ``OverflowError`` when a magnitude exceeds the binary64 range.
     """
-    arr = np.empty((m.rows, m.cols), dtype=np.complex128)
-    worst = Fraction(0)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            e = m.entry(i, j)
-            fre, fim = float(e.re), float(e.im)
-            arr[i, j] = complex(fre, fim)
-            for exact_part, approx in ((e.re, fre), (e.im, fim)):
-                if exact_part != 0:
-                    err = abs(Fraction(approx) - exact_part) / abs(exact_part)
-                    if err > worst:
-                        worst = err
-    return FloatMatrix(arr, max_rel_error=float(worst))
+    return FloatMatrix(np.array([complex(e) for e in m.entries],
+                                dtype=np.complex128).reshape(m.rows, m.cols))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Dense order-k tensors over the exact field, and their standard sections.
 
 A :class:`DenseTensor` is a flat row-major array (last index fastest) with an
-explicit ``dims`` vector.  A :class:`Decomposition` is a list of rank-1 terms,
-each term being one exact vector per mode; materializing it gives back a dense
+explicit ``dims`` vector.  The layout lives here and nowhere else:
+:func:`strides` gives each mode's flat step, :func:`flat_offset` turns an
+index tuple into a flat offset, and the sections below gather entries at
+strided offsets.  A :class:`Decomposition` is a list of rank-1 terms, each
+term being one exact vector per mode; materializing it gives back a dense
 tensor whose rank is at most the term count.  Materializing is sparse: it costs
 the summed support products of the terms (the number of nonzero components of
 each vector, multiplied over the modes) plus one dense allocation, so a
@@ -73,18 +76,8 @@ class DenseTensor:
     def zero(cls, dims) -> "DenseTensor":
         return cls(dims, [EC_ZERO] * math.prod(dims))
 
-    def flat_index(self, idx) -> int:
-        if len(idx) != self.order:
-            raise IndexError(f"need {self.order} indices, got {len(idx)}")
-        flat = 0
-        for d, j in zip(self.dims, idx):
-            if not 0 <= j < d:
-                raise IndexError(f"index {idx} out of range for dims {self.dims}")
-            flat = flat * d + j
-        return flat
-
     def entry(self, idx) -> ExactComplex:
-        return self.entries[self.flat_index(idx)]
+        return self.entries[flat_offset(self.dims, idx)]
 
     def indices(self):
         return product(*(range(d) for d in self.dims))
@@ -132,6 +125,27 @@ class Decomposition:
         return len(self.terms)
 
 
+def strides(dims) -> tuple:
+    """Row-major flat step of each mode: the last mode's is 1."""
+    out = [1] * len(dims)
+    for m in range(len(dims) - 1, 0, -1):
+        out[m - 1] = out[m] * dims[m]
+    return tuple(out)
+
+
+def flat_offset(dims, idx) -> int:
+    """Row-major flat offset of ``idx``; :class:`IndexError` when it does not
+    name one entry of ``dims``."""
+    if len(idx) != len(dims):
+        raise IndexError(f"need {len(dims)} indices, got {len(idx)}")
+    flat = 0
+    for d, j in zip(dims, idx):
+        if not 0 <= j < d:
+            raise IndexError(f"index {idx} out of range for dims {dims}")
+        flat = flat * d + j
+    return flat
+
+
 def check_size_cap(dims) -> None:
     total = math.prod(dims)
     cap = config.size_cap()
@@ -173,11 +187,11 @@ def materialize(d: Decomposition) -> DenseTensor:
     one dense allocation, not the term count times the dense size.
     """
     check_size_cap(d.dims)
-    strides = [math.prod(d.dims[m + 1:]) for m in range(d.order)]
+    mode_strides = strides(d.dims)
     sums = {}
     for term in d.terms:
         partial = [(0, 1, 0)]  # (flat offset, re, im) over the modes so far
-        for vec, stride in zip(term, strides):
+        for vec, stride in zip(term, mode_strides):
             support = [(j * stride, _int_or_fraction(e.re), _int_or_fraction(e.im))
                        for j, e in enumerate(vec) if not e.is_zero()]
             partial = [(off + o, re * a - im * b, re * b + im * a)
@@ -205,11 +219,9 @@ def superdiagonal(side: int, diag, order: int) -> DenseTensor:
     dims = (side,) * order
     check_size_cap(dims)
     entries = [EC_ZERO] * math.prod(dims)
+    step = sum(strides(dims))
     for j in range(side):
-        flat = 0
-        for _ in range(order):
-            flat = flat * side + j
-        entries[flat] = diag[j]
+        entries[j * step] = diag[j]
     return DenseTensor(dims, entries)
 
 
@@ -236,6 +248,31 @@ def _check_mode(t: DenseTensor, mode: int) -> None:
         raise IndexError(f"mode {mode} out of range for order {t.order}")
 
 
+def _fixed_offset(t: DenseTensor, fixed, free) -> int:
+    """Flat offset of ``fixed`` with the ``free`` modes at 0, after checking
+    that every other mode holds an int in range."""
+    if len(fixed) != t.order:
+        raise IndexError("fixed tuple must cover every mode")
+    base = 0
+    for m, (j, stride) in enumerate(zip(fixed, strides(t.dims)), start=1):
+        if m in free:
+            continue
+        if not isinstance(j, int) or not 0 <= j < t.dims[m - 1]:
+            raise IndexError(f"fixed index {j!r} out of range at mode {m}")
+        base += j * stride
+    return base
+
+
+def _mode_offsets(t: DenseTensor, modes) -> list:
+    """Flat offsets of every index over ``modes`` in lexicographic order,
+    the other modes at 0."""
+    st = strides(t.dims)
+    offsets = [0]
+    for m in modes:
+        offsets = [o + j * st[m - 1] for o in offsets for j in range(t.dims[m - 1])]
+    return offsets
+
+
 def fiber(t: DenseTensor, mode: int, fixed):
     """Mode-`mode` fiber: the vector along the free index at `fixed`.
 
@@ -243,23 +280,8 @@ def fiber(t: DenseTensor, mode: int, fixed):
     ignored (conventionally None).
     """
     _check_mode(t, mode)
-    _check_fixed(t, fixed, free={mode})
-    out = []
-    idx = list(fixed)
-    for j in range(t.dims[mode - 1]):
-        idx[mode - 1] = j
-        out.append(t.entry(tuple(idx)))
-    return tuple(out)
-
-
-def _check_fixed(t: DenseTensor, fixed, free) -> None:
-    if len(fixed) != t.order:
-        raise IndexError("fixed tuple must cover every mode")
-    for m, j in enumerate(fixed, start=1):
-        if m in free:
-            continue
-        if not isinstance(j, int) or not 0 <= j < t.dims[m - 1]:
-            raise IndexError(f"fixed index {j!r} out of range at mode {m}")
+    base = _fixed_offset(t, fixed, free={mode})
+    return tuple(t.entries[base + o] for o in _mode_offsets(t, (mode,)))
 
 
 def tensor_slice(t: DenseTensor, mode_a: int, mode_b: int, fixed) -> ExactMatrix:
@@ -268,16 +290,9 @@ def tensor_slice(t: DenseTensor, mode_a: int, mode_b: int, fixed) -> ExactMatrix
     _check_mode(t, mode_b)
     if not mode_a < mode_b:
         raise IndexError("need mode_a < mode_b")
-    _check_fixed(t, fixed, free={mode_a, mode_b})
-    da, db = t.dims[mode_a - 1], t.dims[mode_b - 1]
-    idx = list(fixed)
-    entries = []
-    for i in range(da):
-        idx[mode_a - 1] = i
-        for j in range(db):
-            idx[mode_b - 1] = j
-            entries.append(t.entry(tuple(idx)))
-    return ExactMatrix(da, db, entries)
+    base = _fixed_offset(t, fixed, free={mode_a, mode_b})
+    return ExactMatrix(t.dims[mode_a - 1], t.dims[mode_b - 1],
+                       [t.entries[base + o] for o in _mode_offsets(t, (mode_a, mode_b))])
 
 
 def unfold(t: DenseTensor, mode: int) -> ExactMatrix:
@@ -287,18 +302,9 @@ def unfold(t: DenseTensor, mode: int) -> ExactMatrix:
     ascending mode order.
     """
     _check_mode(t, mode)
-    rest = [m for m in range(1, t.order + 1) if m != mode]
-    d_mode = t.dims[mode - 1]
-    n_cols = math.prod(t.dims) // d_mode
-    entries = [None] * (d_mode * n_cols)
-    for col, rest_idx in enumerate(product(*(range(t.dims[m - 1]) for m in rest))):
-        idx = [0] * t.order
-        for m, j in zip(rest, rest_idx):
-            idx[m - 1] = j
-        for i in range(d_mode):
-            idx[mode - 1] = i
-            entries[i * n_cols + col] = t.entry(tuple(idx))
-    return ExactMatrix(d_mode, n_cols, entries)
+    cols = _mode_offsets(t, [m for m in range(1, t.order + 1) if m != mode])
+    rows = _mode_offsets(t, (mode,))
+    return ExactMatrix(len(rows), len(cols), [t.entries[r + c] for r in rows for c in cols])
 
 
 def group_matrize(t: DenseTensor, split: int) -> ExactMatrix:
@@ -333,8 +339,7 @@ def lift_order(d: Decomposition, length: int = 2) -> Decomposition:
 
 def write_tsr(path, t: DenseTensor) -> None:
     lines = [f"order {t.order}", " ".join(str(d) for d in t.dims)]
-    for idx in t.indices():
-        e = t.entry(idx)
+    for idx, e in zip(t.indices(), t.entries):
         if e.is_zero():
             continue
         lines.append(" ".join(str(j) for j in idx)
@@ -355,12 +360,16 @@ def read_tsr(path) -> DenseTensor:
         order = int(head[1])
     except ValueError:
         raise FormatError("line must read 'order k'", 1) from None
+    if order < 2:
+        raise FormatError("tensor order must be at least 2", 1)
     try:
         dims = tuple(int(tok) for tok in raw[1].split())
     except ValueError:
         raise FormatError("dims line must be integers", 2)
     if len(dims) != order:
         raise FormatError(f"expected {order} dims", 2)
+    if any(d < 0 for d in dims):
+        raise FormatError("dims must be nonnegative", 2)
     check_size_cap(dims)
     entries = [EC_ZERO] * math.prod(dims)
     for off, line in enumerate(raw[2:]):
@@ -376,12 +385,10 @@ def read_tsr(path) -> DenseTensor:
             raise FormatError("bad index", lineno) from None
         val = ExactComplex(parse_rational(toks[order], lineno),
                            parse_rational(toks[order + 1], lineno))
-        flat = 0
-        for d, j in zip(dims, idx):
-            if not 0 <= j < d:
-                raise FormatError(f"index {idx} out of range", lineno)
-            flat = flat * d + j
-        entries[flat] = val
+        try:
+            entries[flat_offset(dims, idx)] = val
+        except IndexError:
+            raise FormatError(f"index {idx} out of range", lineno) from None
     return DenseTensor(dims, entries)
 
 
@@ -419,9 +426,12 @@ def read_dec(path) -> Decomposition:
     pos = 0
     for _ in range(r):
         term = []
-        for _ in range(order):
+        for d in dims:
             lineno, line = body[pos]
-            term.append(tuple(parse_exact_scalar(tok, lineno) for tok in line.split()))
+            vec = tuple(parse_exact_scalar(tok, lineno) for tok in line.split())
+            if len(vec) != d:
+                raise FormatError(f"vector length {len(vec)} != dim {d}", lineno)
+            term.append(vec)
             pos += 1
         terms.append(tuple(term))
     return Decomposition(dims, tuple(terms))

@@ -14,7 +14,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -204,15 +203,9 @@ def criterion_lift_neutrality(seed) -> CriterionResult:
         rows.append(check_row(f"{tag}_dummy_neutral",
                               decisions[0] == decisions[1], True, "literature"))
         lifted = materialize(lift_order(dec))
-        base = None
-        constant = True
-        for v in range(lifted.dims[-1]):
-            sl = tuple(lifted.entry(idx + (v,))
-                       for idx in product(*(range(d) for d in lifted.dims[:-1])))
-            if base is None:
-                base = sl
-            elif sl != base:
-                constant = False
+        # row v of the last-mode unfolding is the slice at lifted index v
+        slices = unfold(lifted, lifted.order)
+        constant = all(slices.row(v) == slices.row(0) for v in range(slices.rows))
         rows.append(check_row(f"{tag}_lift_slices_constant", constant,
                               True, "literature"))
     return _result("criterion-7", "order-lift neutrality", rows)

@@ -104,6 +104,13 @@ def test_protocol_single_input(tmp_path):
     assert "accepted\tfalse\tfalse\tderived\tPASS" in res.stdout
 
 
+def test_protocol_sweep_takes_no_input(tmp_path):
+    res = run_cli("protocol", "sweep", "--function", "eq", "--n", "1", "--k", "3",
+                  "--input", "0,1,0", "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert "--input" in res.stderr
+
+
 def test_nih_extract_builtin_relay(tmp_path):
     res = run_cli("nih-extract", "--function", "eq", "--n", "1", "--k", "3",
                   "--seed", "7", "--out", str(tmp_path))
@@ -128,6 +135,18 @@ def test_corrupted_tsr_is_usage_error(tmp_path):
     res = run_cli("rank", "--tsr", str(bad), "--out", str(tmp_path))
     assert res.returncode == 2
     assert "line 3" in res.stderr
+
+
+def test_malformed_dec_is_usage_error(tmp_path):
+    tsr = tmp_path / "t.tsr"
+    tsr.write_text("order 3\n2 2 2\n0 0 0 1/1 0/1\n")
+    dec = tmp_path / "bad.dec"
+    dec.write_text("3 2 2 2 1\n1/1+0/1i 0/1+0/1i 0/1+0/1i\n"
+                   "1/1+0/1i 0/1+0/1i\n1/1+0/1i 0/1+0/1i\n")
+    res = run_cli("rank", "--tsr", str(tsr), "--dec", str(dec), "--out", str(tmp_path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("usage error: line 2: vector length 3")
+    assert "Traceback" not in res.stderr
 
 
 def test_unknown_function_is_usage_error(tmp_path):
@@ -182,6 +201,17 @@ def test_nih_extract_from_scenario(tmp_path):
                   "--scenario", str(scn), "--seed", "7", "--out", str(tmp_path))
     assert res.returncode == 0
     assert "pattern_ok\ttrue" in res.stdout
+
+
+def test_nih_extract_nan_unitary_is_error(tmp_path):
+    scn = tmp_path / "nan.scn"
+    nan_rows = " ; ".join(" ".join(["nan+0i"] * 4) for _ in range(4))
+    scn.write_text(f"mode nih\nplayers 2\nbits 1\ndims 2 2\nturn 1 matrix {nan_rows}\n")
+    res = run_cli("nih-extract", "--scenario", str(scn), "--function", "const0",
+                  "--n", "1", "--k", "2", "--out", str(tmp_path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: turn 1 (matrix): unitarity defect nan")
+    assert "Traceback" not in res.stderr
 
 
 def test_nih_extract_truth_table_needs_scenario(tmp_path):

@@ -171,6 +171,15 @@ def test_non_unitary_turn_rejected():
 
 
 @pytest.mark.parametrize("simulate", [simulate_branches, simulate_dense])
+def test_nan_turn_unitary_rejected(simulate):
+    # a NaN defect compares false against the tolerance both ways
+    spec = ProtocolSpec("nih", 2, 1, (2, 2),
+                        (Turn(1, lambda visible: np.full((4, 4), np.nan)),))
+    with pytest.raises(NonUnitary, match="defect nan"):
+        simulate(spec, (0, 0))
+
+
+@pytest.mark.parametrize("simulate", [simulate_branches, simulate_dense])
 def test_wrongly_sized_turn_unitary_rejected(simulate):
     # a unitary on a 1-qubit player plus the channel, for a 2-qubit player
     spec = ProtocolSpec("nih", 2, 1, (4, 2), (Turn(1, lambda visible: np.eye(4)),))

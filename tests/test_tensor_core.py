@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, seed, settings
@@ -170,6 +171,50 @@ def test_slice_of_outer_product_is_rank_one():
     assert exact_rank(sl) == 1
 
 
+@st.composite
+def section_cases(draw):
+    """Order 2-4, dims 1-3, two modes mode_a < mode_b and one full index."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    mode_a, mode_b = sorted(draw(st.lists(st.integers(1, len(dims)), min_size=2,
+                                          max_size=2, unique=True)))
+    fixed = tuple(draw(st.integers(0, d - 1)) for d in dims)
+    return dims, mode_a, mode_b, fixed
+
+
+def _label(idx):
+    """An entry that names its index: the digits j + 1, injective for dims <= 9."""
+    return exact(int("".join(str(j + 1) for j in idx)))
+
+
+@seed(11)
+@settings(max_examples=150, deadline=None)
+@given(section_cases())
+def test_sections_read_the_entry_at_each_index(case):
+    # the expected entries come from _label of the index alone
+    dims, mode_a, mode_b, fixed = case
+    t = DenseTensor(dims, [_label(idx) for idx in product(*(range(d) for d in dims))])
+
+    def label_at(*pairs):
+        idx = list(fixed)
+        for m, j in pairs:
+            idx[m - 1] = j
+        return _label(idx)
+
+    da, db = dims[mode_a - 1], dims[mode_b - 1]
+    assert fiber(t, mode_a, fixed) == tuple(label_at((mode_a, i)) for i in range(da))
+    sl = tensor_slice(t, mode_a, mode_b, fixed)
+    assert (sl.rows, sl.cols) == (da, db)
+    assert all(sl.entry(i, j) == label_at((mode_a, i), (mode_b, j))
+               for i in range(da) for j in range(db))
+    for mode in range(1, len(dims) + 1):
+        rest = [m for m in range(1, len(dims) + 1) if m != mode]
+        cols = list(product(*(range(dims[m - 1]) for m in rest)))
+        u = unfold(t, mode)
+        assert (u.rows, u.cols) == (dims[mode - 1], len(cols))
+        assert all(u.entry(i, c) == label_at((mode, i), *zip(rest, rest_idx))
+                   for i in range(dims[mode - 1]) for c, rest_idx in enumerate(cols))
+
+
 # ---------------------------------------------------------------------------
 # unfoldings and matrizations
 # ---------------------------------------------------------------------------
@@ -335,6 +380,29 @@ def test_dec_roundtrip(tmp_path):
     back = read_dec(path)
     assert back.dims == d.dims
     assert back.terms == d.terms
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("order 1\n2\n0 1/1 0/1\n", 1, "order must be at least 2"),
+    ("order 2\n-1 2\n", 2, "dims must be nonnegative"),
+], ids=["order_one", "negative_dim"])
+def test_tsr_bad_shape_is_format_error(tmp_path, text, line, message):
+    path = tmp_path / "bad.tsr"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=message) as err:
+        read_tsr(path)
+    assert err.value.line == line
+
+
+def test_dec_vector_length_is_format_error(tmp_path):
+    path = tmp_path / "bad.dec"
+    path.write_text("3 2 2 2 1\n"
+                    "1/1+0/1i 0/1+0/1i\n"
+                    "1/1+0/1i 0/1+0/1i 0/1+0/1i\n"
+                    "1/1+0/1i 0/1+0/1i\n")
+    with pytest.raises(FormatError, match="vector length 3 != dim 2") as err:
+        read_dec(path)
+    assert err.value.line == 3
 
 
 def test_dec_bad_header(tmp_path):
