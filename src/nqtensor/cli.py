@@ -8,6 +8,7 @@ failed, 2 usage or file-format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -283,7 +284,13 @@ def _add_common(p, function=True, seed=False, trials=False):
     p.add_argument("--out", default="reports", help="output directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    ``parse_args`` keeps nothing between calls: every call fills a fresh
+    namespace, and no default is a mutable object.
+    """
     ap = argparse.ArgumentParser(
         prog="nqtensor",
         description="communication-tensor rank workbench and protocol simulator",

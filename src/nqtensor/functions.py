@@ -74,6 +74,11 @@ class BooleanFunction:
     def value(self, xs) -> int:
         return self._eval(self.check_input(xs))
 
+    def table(self) -> list:
+        """f at every input, in :meth:`inputs` order; those inputs are valid
+        by construction, so none is checked again."""
+        return [self._eval(xs) for xs in self.inputs()]
+
     def sign_value(self, xs) -> int:
         """The +-1 view: +1 on 1-inputs, -1 on 0-inputs."""
         return 2 * self.value(xs) - 1
@@ -82,7 +87,7 @@ class BooleanFunction:
         return product(range(self.side), repeat=self.k)
 
     def ones(self):
-        return (xs for xs in self.inputs() if self.value(xs) == 1)
+        return (xs for xs, v in zip(self.inputs(), self.table()) if v == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +179,7 @@ def canonical_tensor(f: BooleanFunction) -> DenseTensor:
     """
     dims = (f.side,) * f.k
     check_size_cap(dims)
-    return DenseTensor(dims, [EC_ONE if f.value(xs) else EC_ZERO for xs in f.inputs()])
+    return DenseTensor(dims, [EC_ONE if v else EC_ZERO for v in f.table()])
 
 
 def inner_product_matrix(n: int) -> ExactMatrix:
@@ -255,8 +260,8 @@ def random_nondet_substitution(
     check_size_cap(dims)
     rng = random.Random(rng_seed)
     entries = []
-    for xs in f.inputs():
-        if f.value(xs) == 0:
+    for v in f.table():
+        if v == 0:
             entries.append(EC_ZERO)
             continue
         while True:

@@ -16,7 +16,10 @@ Three views of a protocol live here:
 * a branch-form simulator, splitting the state along channel basis states so
   the result is a sum over transcripts of per-player product vectors; a
   transcript whose product is exactly zero is dropped as soon as it is, so a
-  classical protocol keeps one live transcript per input;
+  classical protocol keeps one live transcript per input.  It takes no
+  Kronecker product per branch: a player vector enters its turn's unitary
+  through the channel slots of a zero vector, and products of player vectors
+  are folded with outer products, bit for bit what ``np.kron`` computes;
 * a dense statevector simulator used as an independent cross-check;
 * the SVD route: compress one grouped half of a nondeterministic tensor into
   ceil(log2 r) qubits and read the acceptance amplitude off the factors.
@@ -88,7 +91,7 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _channel_xor(d: int, flip_for_local) -> np.ndarray:
     """|h,c> -> |h, c xor flip_for_local(h)>; a permutation on H (x) C."""
-    u = np.zeros((2 * d, 2 * d))
+    u = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     for h in range(d):
         v = flip_for_local(h) & 1
         for c in range(2):
@@ -100,7 +103,7 @@ def _swap_channel_into_slot(d: int, slot: int) -> np.ndarray:
     """Swap the channel qubit with local qubit `slot` (0-based)."""
     if d < 2 ** (slot + 1):
         raise DimMismatch(f"player dim {d} has no qubit slot {slot}")
-    u = np.zeros((2 * d, 2 * d))
+    u = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     for h in range(d):
         for c in range(2):
             old = (h >> slot) & 1
@@ -116,7 +119,16 @@ def _swap_channel_into_slot(d: int, slot: int) -> np.ndarray:
 # A generator is a callable visible -> unitary on H_player (x) C.  In NIH mode
 # `visible` is the acting player's own string; in NOF mode it is the tuple of
 # everyone else's.  Generators that read the input therefore only make sense
-# in NIH mode and say so via `nih_only`.
+# in NIH mode and say so via `nih_only`.  A unitary that does not depend on
+# the input is built once, with the generator, and every call returns that
+# one read-only array.
+
+
+def _shared(u) -> np.ndarray:
+    """A read-only complex128 copy of ``u``, safe to return from every call."""
+    u = np.array(u, dtype=np.complex128)
+    u.flags.writeable = False
+    return u
 
 
 def _named(make, label: str, nih_only: bool = False):
@@ -130,19 +142,17 @@ def gen_write_bit(d: int, n: int, j: int):
     """Channel <- channel xor (bit j of the player's own string)."""
     if not 1 <= j <= n:
         raise DimMismatch(f"bit index {j} out of range 1..{n}")
-    x_gate = np.array([[0.0, 1.0], [1.0, 0.0]])
-    eye2 = np.eye(2)
+    by_bit = (_shared(np.eye(2 * d)), _shared(_channel_xor(d, lambda h: 1)))
 
     def make(visible):
-        bit = (int(visible) >> (n - j)) & 1
-        return np.kron(np.eye(d), x_gate if bit else eye2)
+        return by_bit[(int(visible) >> (n - j)) & 1]
 
     return _named(make, f"write-bit {j}", nih_only=True)
 
 
 def gen_flip_channel(d: int):
     """Unconditional NOT on the channel qubit."""
-    u = np.kron(np.eye(d), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    u = _shared(_channel_xor(d, lambda h: 1))
 
     def make(visible):
         return u
@@ -152,7 +162,7 @@ def gen_flip_channel(d: int):
 
 def gen_cnot_channel(d: int, slot: int):
     """CNOT: control = local qubit `slot` (1-based), target = channel."""
-    u = _channel_xor(d, lambda h: (h >> (slot - 1)) & 1)
+    u = _shared(_channel_xor(d, lambda h: (h >> (slot - 1)) & 1))
 
     def make(visible):
         return u
@@ -162,7 +172,7 @@ def gen_cnot_channel(d: int, slot: int):
 
 def gen_store(d: int, slot: int):
     """Swap the channel qubit into local slot `slot` (1-based)."""
-    u = _swap_channel_into_slot(d, slot - 1)
+    u = _shared(_swap_channel_into_slot(d, slot - 1))
 
     def make(visible):
         return u
@@ -195,7 +205,7 @@ def gen_compare_and_flag(d: int, n: int):
 
 def gen_matrix_literal(d: int, matrix: np.ndarray):
     """A fixed, input-independent unitary supplied as a literal."""
-    m = np.asarray(matrix, dtype=np.complex128)
+    m = _shared(matrix)
     if m.shape != (2 * d, 2 * d):
         raise DimMismatch(f"literal must be {2 * d}x{2 * d}, got {m.shape}")
 
@@ -315,10 +325,14 @@ class BranchState:
 
 
 def _kron_all(vecs) -> np.ndarray:
-    """Kronecker product of ``vecs`` in order; [1] for none."""
+    """Kronecker product of ``vecs`` in order; [1] for none.
+
+    Each step is the outer product that ``np.kron`` of two vectors computes,
+    on the same operands, so the result has the same bits.
+    """
     out = np.array([1.0 + 0j])
     for v in vecs:
-        out = np.kron(out, v)
+        out = np.multiply.outer(out, v).ravel()
     return out
 
 
@@ -340,10 +354,14 @@ def _turn_unitary(spec: ProtocolSpec, idx: int, xs) -> np.ndarray:
 def simulate_branches(spec: ProtocolSpec, xs) -> BranchState:
     """Run the protocol, splitting one branch per channel basis state.
 
-    A child whose new player vector is exactly zero is dropped: its product,
-    and so its share of every sum over branches, is exactly zero.  Raises
-    :class:`SizeCapExceeded` once the live branches times the summed player
-    dimensions exceed :func:`config.size_cap`.
+    A branch enters its turn as the acting player's vector ``v`` written into
+    the slots ``c::2`` of a zero vector, ``c`` the branch's last channel bit.
+    That vector is ``np.kron(v, e_c)`` up to the sign of zero components,
+    which changes no nonzero sum; the tests check every output bit against
+    ``np.kron``.  A child whose new player vector is exactly zero is dropped:
+    its product, and so its share of every sum over branches, is exactly
+    zero.  Raises :class:`SizeCapExceeded` once the live branches times the
+    summed player dimensions exceed :func:`config.size_cap`.
     """
     xs = spec.check_input(xs)
     branches = {
@@ -353,18 +371,20 @@ def simulate_branches(spec: ProtocolSpec, xs) -> BranchState:
     entries_per_branch = sum(spec.player_dims)
     cap = config.size_cap()
     for idx, turn in enumerate(spec.turns):
-        d = spec.player_dims[turn.player - 1]
+        p = turn.player - 1
+        d = spec.player_dims[p]
         w = _turn_unitary(spec, idx, xs)
         new = {}
         for m, vecs in branches.items():
             c = m[-1] if m else 0
-            inp = np.kron(vecs[turn.player - 1], np.eye(2)[:, c])
+            inp = np.zeros(2 * d, dtype=np.complex128)
+            inp[c::2] = vecs[p]
             out = (w @ inp).reshape(d, 2)
             for c2 in (0, 1):
                 if not out[:, c2].any():
                     continue
                 child = list(vecs)
-                child[turn.player - 1] = out[:, c2].copy()
+                child[p] = out[:, c2].copy()
                 new[m + (c2,)] = tuple(child)
         branches = new
         if len(branches) * entries_per_branch > cap:
@@ -685,12 +705,12 @@ def strong_nondet_check(p: NofProtocol, f: BooleanFunction, dummy: int = 0) -> S
     max_gap = 0.0
     wrong = []
     total = 0
-    for xs in f.inputs():
+    for xs, value in zip(f.inputs(), f.table()):
         res = run_nof(p, xs, dummy=dummy)
         total += 1
         gap = abs(res.probability - res.analytic_probability)
         max_gap = max(max_gap, gap)
-        if f.value(xs) == 1:
+        if value == 1:
             if min_accept is None or res.probability < min_accept:
                 min_accept = res.probability
             if not res.accepted:
@@ -807,16 +827,15 @@ def nih_families(spec: ProtocolSpec, f: BooleanFunction):
     shape = (f.side ** g, f.side ** (f.k - g))
     families = np.zeros(shape + (math.prod(spec.player_dims[:g]),
                                  math.prod(spec.player_dims[g:])), dtype=np.complex128)
-    ones = np.zeros(shape, dtype=bool)
+    ones = np.array(f.table()).reshape(shape) == 1
     for pos, xs in enumerate(f.inputs()):
-        b = simulate_branches(spec, xs)
-        if (b.accept_probability() > config.ACCEPT_EPS) != (f.value(xs) == 1):
-            raise PremiseViolation(f"protocol acceptance at {xs} disagrees with {f.name}")
         yz = divmod(pos, shape[1])
+        b = simulate_branches(spec, xs)
+        if (b.accept_probability() > config.ACCEPT_EPS) != ones[yz]:
+            raise PremiseViolation(f"protocol acceptance at {xs} disagrees with {f.name}")
         _, a_vecs, b_vecs = extract_families(b)
         for a, v in zip(a_vecs, b_vecs):
             families[yz] += np.outer(a, v)
-        ones[yz] = f.value(xs) == 1
     return families, ones
 
 

@@ -40,10 +40,7 @@ def pattern_check(t: DenseTensor, f: BooleanFunction) -> bool:
     """True iff t is nonzero exactly on f's 1-inputs (exhaustive)."""
     if t.dims != (f.side,) * f.k:
         raise DimMismatch(f"tensor dims {t.dims} do not match {f.name}(n={f.n},k={f.k})")
-    for xs, e in zip(t.indices(), t.entries):
-        if e.is_zero() == (f.value(xs) == 1):
-            return False
-    return True
+    return all(e.is_zero() != (v == 1) for e, v in zip(t.entries, f.table()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from nqtensor.reports import FAIL, Row
 from nqtensor.scalar_linalg import read_mat
 from nqtensor.tensor_core import read_dec, read_tsr
 from nqtensor.verify import CriterionResult
+
+GOLDEN = Path(__file__).parent / "golden" / "out"
 
 
 def run_cli(*args, cwd=None):
@@ -175,6 +178,27 @@ def test_verify_all_exit_code_reflects_failing_criteria(tmp_path, monkeypatch, c
     assert cli.main(["verify-all", "--seed", "1", "--out", str(tmp_path)]) == 1
     assert "criterion-1 inner-product matrix rank: FAIL" in capsys.readouterr().out
     assert (tmp_path / "verify_all.tsv").exists()
+
+
+def test_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once; each parse still starts from the defaults
+    out = tmp_path / "o"
+    assert cli.main(["build", "--function", "eq", "--n", "1", "--k", "3",
+                     "--out", str(tmp_path)]) == 0
+    for ext in ("tsr", "dec"):
+        (tmp_path / f"eq_1_3.{ext}").rename(tmp_path / f"first.{ext}")
+    assert cli.main(["rank", "--tsr", str(tmp_path / "first.tsr"), "--dec",
+                     str(tmp_path / "first.dec"), "--out", str(out)]) == 0
+    assert cli.main(["rank", "--function", "hamming_neq1", "--n", "2",
+                     "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["rank_first.tsv",
+                                                     "rank_hamming_neq1_2_3.tsv"]
+    golden = (GOLDEN / "rank_hamming_neq1_2_3.tsv").read_text()
+    assert (out / "rank_hamming_neq1_2_3.tsv").read_text() == golden
+    assert capsys.readouterr().out.endswith(golden)
+    assert cli.build_parser() is cli.build_parser()
+    args = cli.build_parser().parse_args(["rank", "--function", "eq"])
+    assert (args.tsr, args.dec, args.n, args.k) == (None, None, 1, 3)
 
 
 def test_rank_from_truth_table(tmp_path):

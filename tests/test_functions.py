@@ -251,6 +251,22 @@ def test_function_help_lists_registry_keys():
         assert option.help == "one of " + ", ".join(sorted(FAMILIES))
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (2, 4)])
+def test_table_is_value_at_every_input(name, n, k):
+    f = from_name(name, n, k)
+    assert f.table() == [f.value(xs) for xs in f.inputs()]
+
+
+def test_truth_table_function_table(tmp_path):
+    path = tmp_path / "parity.tt"
+    path.write_text("".join(f"{x:02b} {y:02b} {bin(x ^ y).count('1') % 2}\n"
+                            for x in range(4) for y in range(4)))
+    f = load_truth_table(path)
+    assert f.table() == [f.value(xs) for xs in f.inputs()]
+    assert f.table() == [bin(x ^ y).count("1") % 2 for x in range(4) for y in range(4)]
+
+
 def test_truth_table_roundtrip(tmp_path):
     f = equality(1, 2)
     lines = []

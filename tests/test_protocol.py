@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 
@@ -32,6 +33,7 @@ from nqtensor.protocol import (
     constant_one_spec,
     extract_families,
     gen_cnot_channel,
+    gen_flip_channel,
     gen_matrix_literal,
     gen_store,
     gen_write_bit,
@@ -157,6 +159,121 @@ def test_branch_form_matches_dense_for_relay_protocol():
         b = simulate_branches(spec, xs)
         dense = simulate_dense(spec, xs)
         assert np.max(np.abs(b.recontract() - dense)) < 1e-12
+
+
+def _kron_oracle(spec, xs):
+    """The branch simulation written with np.kron: returns the live branches
+    and the statevector and accepted vector summed in the simulator's order."""
+    branches = {(): tuple(np.eye(d, dtype=np.complex128)[:, 0] for d in spec.player_dims)}
+    for turn in spec.turns:
+        p = turn.player - 1
+        w = np.asarray(turn.make(spec.visible(turn.player, xs)), dtype=np.complex128)
+        new = {}
+        for m, vecs in branches.items():
+            c = m[-1] if m else 0
+            out = (w @ np.kron(vecs[p], np.eye(2)[:, c])).reshape(-1, 2)
+            for c2 in (0, 1):
+                if out[:, c2].any():
+                    new[m + (c2,)] = vecs[:p] + (out[:, c2].copy(),) + vecs[p + 1:]
+        branches = new
+    dim = math.prod(spec.player_dims)
+    state = np.zeros(2 * dim, dtype=np.complex128)
+    for m, vecs in branches.items():
+        state[(m[-1] if m else 0)::2] += _kron_product(vecs)
+    accepted = np.zeros(dim, dtype=np.complex128)
+    for m in sorted(m for m in branches if m and m[-1] == 1):
+        accepted += _kron_product(branches[m])
+    return branches, state, accepted
+
+
+def _kron_product(vecs):
+    return functools.reduce(np.kron, vecs, np.array([1.0 + 0j]))
+
+
+def _monomial_protocol(seed):
+    # permutations with phases +-1, +-i, some followed by a Hadamard on the
+    # channel: exact zeros and cancellations, and np.kron operands holding -0
+    # where the simulator's zero-filled input holds +0
+    rng = np.random.default_rng(seed)
+    hadamard = np.kron(np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
+    turns = []
+    for _ in range(5):
+        m = np.zeros((4, 4), dtype=np.complex128)
+        m[rng.permutation(4), np.arange(4)] = rng.choice([1, -1, 1j, -1j], size=4)
+        if rng.random() < 0.3:
+            m = m @ hadamard
+        turns.append(Turn(int(rng.integers(1, 3)), gen_matrix_literal(2, m)))
+    return ProtocolSpec("nih", 2, 1, (2, 2), tuple(turns))
+
+
+def _bitwise_cases():
+    rng = random.Random(41)
+    for i in range(12):
+        k, ell, dim = ((2, 3, 2), (3, 4, 2), (2, 3, 4))[i % 3]
+        spec = random_protocol(rng.getrandbits(32), k=k, ell=ell, dim=dim)
+        yield pytest.param(spec, tuple(rng.randrange(2) for _ in range(k)), id=f"haar{i}")
+    for n in (1, 2):
+        spec = trivial_eq_relay_spec(n)
+        for xs in ((0, 0, 0), (1, 1, 1), (0, 1, 1), (2 ** n - 1, 0, 2 ** n - 1)):
+            yield pytest.param(spec, xs, id=f"relay{n}-{'-'.join(map(str, xs))}")
+    for i in range(8):
+        yield pytest.param(_monomial_protocol(i), (0, 1), id=f"monomial{i}")
+
+
+@pytest.mark.parametrize("spec, xs", list(_bitwise_cases()))
+def test_branch_simulation_matches_kron_oracle_bitwise(spec, xs):
+    # tobytes() tells -0.0 from 0.0, so signed zeros must agree too
+    branches, state, accepted = _kron_oracle(spec, xs)
+    b = simulate_branches(spec, xs)
+    assert list(b.branches) == list(branches)
+    for m, vecs in branches.items():
+        assert [v.tobytes() for v in b.branches[m]] == [v.tobytes() for v in vecs]
+    assert b.recontract().tobytes() == state.tobytes()
+    assert b.accept_vector().tobytes() == accepted.tobytes()
+    g = spec.k // 2
+    members, a_vecs, b_vecs = extract_families(b)
+    assert [v.tobytes() for v in a_vecs + b_vecs] == (
+        [_kron_product(branches[m][:g]).tobytes() for m in members]
+        + [_kron_product(branches[m][g:]).tobytes() for m in members])
+
+
+@pytest.mark.parametrize("make, visible", [
+    pytest.param(gen_write_bit(2, 1, 1), 0, id="write-bit-0"),
+    pytest.param(gen_write_bit(2, 1, 1), 1, id="write-bit-1"),
+    pytest.param(gen_flip_channel(2), 0, id="flip-channel"),
+    pytest.param(gen_cnot_channel(4, 2), 0, id="cnot-channel"),
+    pytest.param(gen_store(4, 1), 0, id="store"),
+    pytest.param(gen_matrix_literal(2, np.eye(4)), 0, id="matrix"),
+])
+def test_shared_generator_unitaries_are_read_only(make, visible):
+    u = make(visible)
+    assert u is make(visible)
+    with pytest.raises(ValueError, match="read-only"):
+        u[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_channel_generators_are_kron_products(d):
+    x_gate = np.array([[0.0, 1.0], [1.0, 0.0]])
+    flip = np.kron(np.eye(d), x_gate).astype(np.complex128).tobytes()
+    keep = np.kron(np.eye(d), np.eye(2)).astype(np.complex128).tobytes()
+    assert gen_write_bit(d, 2, 2)(0b10).tobytes() == keep
+    assert gen_write_bit(d, 2, 2)(0b01).tobytes() == flip
+    assert gen_flip_channel(d)(0).tobytes() == flip
+
+
+def test_simulators_run_on_read_only_unitaries():
+    literal = np.kron(np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
+    spec = ProtocolSpec("nih", 2, 1, (2, 4), (
+        Turn(1, gen_write_bit(2, 1, 1)),
+        Turn(2, gen_store(4, 1)),
+        Turn(2, gen_cnot_channel(4, 1)),
+        Turn(1, gen_matrix_literal(2, literal)),
+        Turn(2, gen_flip_channel(4)),
+    ))
+    for xs in ((0, 0), (1, 0)):
+        b = simulate_branches(spec, xs)
+        assert np.max(np.abs(b.recontract() - simulate_dense(spec, xs))) < 1e-12
 
 
 def test_non_unitary_turn_rejected():
