@@ -15,14 +15,15 @@ import sys
 
 from . import config
 from .errors import (
+    ArityMismatch,
     CheckFailure,
     DegenerateN,
-    FormatError,
     NqtensorError,
     UsageError,
 )
 from .functions import FAMILIES, canonical_tensor, from_name, load_truth_table
 from .protocol import (
+    LIFT_LENGTH,
     build_nof_protocol,
     constant_one_spec,
     nih_rank_certificate,
@@ -41,7 +42,22 @@ from .verify import GIP_INSTANCES, run_verify_all
 def _load_function(args):
     if getattr(args, "truth_table", None):
         return load_truth_table(args.truth_table)
-    return from_name(args.function, args.n, args.k)
+    return _function(args.function, args.n, args.k)
+
+
+def _function(name, n, k):
+    """``from_name``, with an ``--n``/``--k`` it rejects as a usage error."""
+    try:
+        return from_name(name, n, k)
+    except ArityMismatch as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _gip_function(n, k):
+    """GIP for the slice certificate, which needs at least three players."""
+    if k < 3:
+        raise UsageError("the GIP certificate needs --k of at least 3")
+    return _function("gip", n, k)
 
 
 def _family_tensor(f):
@@ -135,8 +151,9 @@ def cmd_unfold(args) -> int:
 
 def cmd_gip_cert(args) -> int:
     n, k = args.n, args.k
+    f = _gip_function(n, k)
     try:
-        cert = gip_certificate(n, k, canonical_tensor(from_name("gip", n, k)))
+        cert = gip_certificate(n, k, canonical_tensor(f))
     except DegenerateN as exc:
         rows = [Row("certificate", str(exc), "n >= 2", "direct", SKIP)]
         return _emit(args, f"gip_cert_{n}_{k}", rows)
@@ -162,6 +179,8 @@ def cmd_protocol(args) -> int:
         witnessed = " or ".join(sorted(name for name, fam in FAMILIES.items() if fam.witness))
         raise UsageError(f"no built-in decomposition for {f.name}; "
                          f"protocol commands need {witnessed}")
+    if not 0 <= args.lift_dummy < LIFT_LENGTH:
+        raise UsageError(f"--lift-dummy must be in 0..{LIFT_LENGTH - 1}")
     proto = build_nof_protocol(family.witness(f.n, f.k), f)
     rows = [
         Row("numerical_rank", proto.r, "-", "derived", INFO),
@@ -191,6 +210,9 @@ def cmd_protocol(args) -> int:
             raise UsageError(f"--input must be comma-separated integers, got {args.input!r}") from None
         if len(xs) != f.k:
             raise UsageError(f"--input needs {f.k} strings, got {len(xs)}")
+        for x in xs:
+            if not 0 <= x < f.side:
+                raise UsageError(f"--input component {x} is not in 0..{f.side - 1}")
         res = run_nof(proto, xs, dummy=args.lift_dummy)
         rows += [
             Row("input", ",".join(str(x) for x in xs), "-", "direct", INFO),
@@ -213,11 +235,11 @@ def cmd_nih_extract(args) -> int:
     elif args.function == "eq":
         if args.k != 3:
             raise UsageError("the built-in relay protocol is 3-party")
+        f = _function("eq", args.n, 3)
         spec = trivial_eq_relay_spec(args.n)
-        f = from_name("eq", args.n, 3)
     elif args.function == "const1":
+        f = _function("const1", args.n, args.k)
         spec = constant_one_spec(args.n, args.k)
-        f = from_name("const1", args.n, args.k)
     else:
         raise UsageError("nih-extract needs --scenario for functions other than "
                          "eq/const1")
@@ -252,6 +274,7 @@ def cmd_probe(args) -> int:
 def cmd_verify_all(args) -> int:
     instances = GIP_INSTANCES
     if args.n is not None and args.k is not None:
+        _gip_function(args.n, args.k)
         instances = ((args.n, args.k),)
     results, rows, ok = run_verify_all(args.seed, instances)
     for res in results:
@@ -358,7 +381,8 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, FormatError) as exc:
+    except (UsageError, OSError) as exc:
+        # FormatError is a UsageError; an input file that cannot be read is one too
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except NqtensorError as exc:

@@ -68,7 +68,7 @@ class BooleanFunction:
             raise ArityMismatch(f"{self.name} takes {self.k} strings, got {len(xs)}")
         for x in xs:
             if not isinstance(x, int) or not 0 <= x < self.side:
-                raise ArityMismatch(f"input {x!r} is not an {self.n}-bit string")
+                raise ArityMismatch(f"input {x!r} is not in 0..{self.side - 1}")
         return xs
 
     def value(self, xs) -> int:

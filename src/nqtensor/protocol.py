@@ -265,7 +265,7 @@ class ProtocolSpec:
         side = 2 ** self.n
         for x in xs:
             if not isinstance(x, int) or not 0 <= x < side:
-                raise ArityMismatch(f"input {x!r} is not an {self.n}-bit string")
+                raise ArityMismatch(f"input {x!r} is not in 0..{side - 1}")
         return xs
 
 

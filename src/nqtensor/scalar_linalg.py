@@ -2,12 +2,14 @@
 
 Two parallel scalar worlds are kept deliberately separate:
 
-* :class:`ExactComplex` — Gaussian rationals (a pair of ``Fraction``), the
-  entries of tensors, decompositions and exact matrices.  :func:`exact_rank`
-  is the one exact elimination: it clears each row's denominators and runs
-  fraction-free Bareiss elimination over Gaussian integers held as pairs of
-  Python ints, with exact pivot tests, so an exact rank never depends on a
-  tolerance.
+* :class:`ExactComplex` — Gaussian rationals, the entries of tensors,
+  decompositions and exact matrices.  Each component is a Python ``int``
+  when it is integral and a reduced ``Fraction`` otherwise, so the small
+  Gaussian integers that make up nearly every tensor cost int arithmetic.
+  :func:`exact_rank` is the one exact elimination: it clears each row's
+  denominators and runs fraction-free Bareiss elimination over Gaussian
+  integers held as pairs of Python ints, with exact pivot tests, so an exact
+  rank never depends on a tolerance.
 * floating complex — plain ``complex`` / ``numpy.complex128``, used for SVD,
   protocol simulation, and the numerical rank (:func:`numerical_rank`) of
   matrices built from simulated states, where a numerical kernel is the
@@ -36,17 +38,30 @@ from .errors import ConvergenceFailure, DimMismatch, FormatError
 # ---------------------------------------------------------------------------
 
 
+def _component(q) -> int | Fraction:
+    """``q`` as a Python int when it is integral, else as a reduced Fraction."""
+    q = Fraction(q)  # gcd-reduced, positive denominator
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True)
 class ExactComplex:
-    """A Gaussian rational re + im*i with exact equality."""
+    """A Gaussian rational re + im*i with exact equality.
 
-    re: Fraction
-    im: Fraction
+    Each component is an ``int`` when it is integral and a reduced
+    ``Fraction`` otherwise.  Equality and hashing are those of the numbers,
+    since ``1 == Fraction(1)`` and both hash alike.
+    """
+
+    re: int | Fraction
+    im: int | Fraction
 
     def __post_init__(self):
-        # Fraction() normalizes: gcd-reduced, positive denominator.
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        # an int passes through untouched: the common case costs one test
+        if type(self.re) is not int:
+            object.__setattr__(self, "re", _component(self.re))
+        if type(self.im) is not int:
+            object.__setattr__(self, "im", _component(self.im))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -66,9 +81,10 @@ class ExactComplex:
         d = other.re * other.re + other.im * other.im
         if d == 0:
             raise ZeroDivisionError("division by exact zero")
+        # Fraction, not ``/``: int / int would be a float
         return ExactComplex(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
+            Fraction(self.re * other.re + self.im * other.im, d),
+            Fraction(self.im * other.re - self.re * other.im, d),
         )
 
     def __neg__(self) -> "ExactComplex":
@@ -80,7 +96,7 @@ class ExactComplex:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def abs2(self) -> Fraction:
+    def abs2(self) -> int | Fraction:
         """|z|^2 as an exact rational."""
         return self.re * self.re + self.im * self.im
 
@@ -93,13 +109,13 @@ class ExactComplex:
         return f"ExactComplex({self.re}, {self.im})"
 
 
-EC_ZERO = ExactComplex(Fraction(0), Fraction(0))
-EC_ONE = ExactComplex(Fraction(1), Fraction(0))
+EC_ZERO = ExactComplex(0, 0)
+EC_ONE = ExactComplex(1, 0)
 
 
 def exact(re, im=0) -> ExactComplex:
-    """Shorthand constructor coercing ints/Fractions."""
-    return ExactComplex(Fraction(re), Fraction(im))
+    """Shorthand constructor from ints or Fractions."""
+    return ExactComplex(re, im)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +229,7 @@ def coerce_exact(v) -> ExactComplex:
     if isinstance(v, ExactComplex):
         return v
     if isinstance(v, (int, Fraction)):
-        return ExactComplex(Fraction(v), Fraction(0))
+        return ExactComplex(v, 0)
     raise TypeError(f"cannot coerce {type(v).__name__} to ExactComplex")
 
 

@@ -181,10 +181,11 @@ def materialize(d: Decomposition) -> DenseTensor:
 
     Each term is expanded only over the product of its vectors' nonzero
     components, with row-major flat offsets taken from the strides.  The
-    arithmetic runs on plain ``(re, im)`` pairs: a component is a Python int
-    when its denominator is 1 and stays a ``Fraction`` otherwise, so every
-    sum is exact.  The cost is the summed support products of the terms plus
-    one dense allocation, not the term count times the dense size.
+    arithmetic runs on plain ``(re, im)`` pairs of the entries' own
+    components, each an int when integral and a ``Fraction`` otherwise, so
+    every sum is exact.  The cost is the summed support products of the
+    terms plus one dense allocation, not the term count times the dense
+    size.
     """
     check_size_cap(d.dims)
     mode_strides = strides(d.dims)
@@ -192,7 +193,7 @@ def materialize(d: Decomposition) -> DenseTensor:
     for term in d.terms:
         partial = [(0, 1, 0)]  # (flat offset, re, im) over the modes so far
         for vec, stride in zip(term, mode_strides):
-            support = [(j * stride, _int_or_fraction(e.re), _int_or_fraction(e.im))
+            support = [(j * stride, e.re, e.im)
                        for j, e in enumerate(vec) if not e.is_zero()]
             partial = [(off + o, re * a - im * b, re * b + im * a)
                        for off, re, im in partial for o, a, b in support]
@@ -204,11 +205,6 @@ def materialize(d: Decomposition) -> DenseTensor:
         if re or im:
             entries[off] = ExactComplex(re, im)
     return DenseTensor(d.dims, entries)
-
-
-def _int_or_fraction(q):
-    """``q`` as a Python int when it is integral, else the Fraction itself."""
-    return q.numerator if q.denominator == 1 else q
 
 
 def superdiagonal(side: int, diag, order: int) -> DenseTensor:

@@ -170,6 +170,26 @@ def test_out_of_range_option_is_usage_error(tmp_path, args):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("build", "--n", "0"),
+    ("build", "--k", "1"),
+    ("nih-extract", "--function", "eq", "--n", "0"),
+    ("protocol", "nof", "--function", "eq", "--n", "1", "--k", "3", "--input", "1,1,2"),
+    ("protocol", "nof", "--function", "eq", "--n", "1", "--k", "3", "--input", "0,-1,0"),
+    ("protocol", "nof", "--function", "eq", "--n", "1", "--k", "3", "--input", "1,1,1",
+     "--lift-dummy", "2"),
+    ("protocol", "sweep", "--function", "eq", "--n", "1", "--k", "3", "--lift-dummy", "-1"),
+    ("gip-cert", "--k", "2"),
+    ("verify-all", "--n", "2", "--k", "2"),
+    ("rank", "--tsr", "missing.tsr"),
+])
+def test_bad_arity_range_or_file_is_usage_error(tmp_path, args):
+    res = run_cli(*args, "--out", str(tmp_path), cwd=tmp_path)
+    assert res.returncode == 2
+    assert res.stderr.startswith("usage error: ")
+    assert "Traceback" not in res.stderr
+
+
 def test_verify_all_exit_code_reflects_failing_criteria(tmp_path, monkeypatch, capsys):
     # one failing criterion is enough for verify-all to exit 1
     failing = CriterionResult("criterion-1", "inner-product matrix rank",

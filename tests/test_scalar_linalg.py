@@ -18,6 +18,7 @@ from nqtensor.scalar_linalg import (
     exact,
     exact_rank,
     numerical_rank,
+    parse_exact_scalar,
     read_mat,
     svd,
     to_float,
@@ -44,6 +45,54 @@ def test_exact_complex_normalized():
     z = ExactComplex(Fraction(2, 4), Fraction(-3, -6))
     assert z.re == Fraction(1, 2) and z.re.denominator == 2
     assert z.im == Fraction(1, 2)
+
+
+def test_integral_components_are_ints():
+    half = exact(Fraction(1, 2), Fraction(-3, 2))
+    values = [
+        ExactComplex(Fraction(6, 3), Fraction(0, 5)),
+        exact(3, -1),
+        exact(Fraction(4, 2)),
+        EC_ZERO,
+        EC_ONE,
+        half + half,
+        half - half,
+        half * exact(2, 0),
+        half * half.conjugate() * exact(4),
+        -exact(Fraction(8, 4)),
+        exact(2, 1) / exact(2, 1),
+        parse_exact_scalar("4/2+-3/1i"),
+        parse_exact_scalar("0/7+6/-3i"),
+    ]
+    for z in values:
+        assert type(z.re) is int and type(z.im) is int, z
+    assert type(half.abs2()) is Fraction
+    assert type(exact(3, 4).abs2()) is int
+
+
+def test_nonintegral_components_are_reduced_fractions():
+    z = parse_exact_scalar("2/4+-6/4i")
+    assert type(z.re) is Fraction and z.re == Fraction(1, 2)
+    assert type(z.im) is Fraction and z.im == Fraction(-3, 2)
+    assert type((z * exact(3)).re) is Fraction
+
+
+def test_division_stays_exact():
+    q = exact(1) / exact(2)
+    assert q.re == Fraction(1, 2) and type(q.re) is Fraction
+    assert q.im == 0 and type(q.im) is int
+    q = exact(4) / exact(2)
+    assert q.re == 2 and type(q.re) is int
+    q = exact(1) / exact(1, 1)  # (1 - i) / 2
+    assert (q.re, q.im) == (Fraction(1, 2), Fraction(-1, 2))
+
+
+def test_equality_and_hash_ignore_component_type():
+    a = ExactComplex(Fraction(3), 0)
+    b = ExactComplex(3, 0)
+    assert a == b and hash(a) == hash(b)
+    assert ExactComplex(Fraction(1, 2), Fraction(2)) == exact(Fraction(2, 4), 2)
+    assert len({EC_ONE, exact(Fraction(5, 5)), ExactComplex(1, Fraction(0))}) == 1
 
 
 def test_division_by_zero():
@@ -122,25 +171,46 @@ gaussian_rationals = st.builds(
 )
 
 
-def _gaussian_grid(draw, rows, cols):
-    vals = draw(st.lists(gaussian_rationals, min_size=rows * cols, max_size=rows * cols))
+# int components mixed with Fraction ones, within an entry and across entries
+mixed_entries = st.one_of(
+    gaussian_rationals,
+    st.builds(exact, st.integers(-4, 4), st.integers(-4, 4)),
+    st.builds(exact, st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4),
+                                                   st.integers(1, 4))),
+)
+sparse_entries = st.one_of(st.just(EC_ZERO), st.just(EC_ZERO), mixed_entries)
+
+
+def _gaussian_grid(draw, rows, cols, entries=gaussian_rationals):
+    vals = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
     return ExactMatrix(rows, cols, vals)
 
 
 @st.composite
 def gaussian_rational_matrix(draw, max_side=5):
-    """A dense matrix, or a product A @ B whose inner side, below the row
-    count, makes it rank-deficient."""
+    """A dense matrix, one of mixed int/Fraction entries, a mostly-zero one
+    with whole zero rows and columns, or a product A @ B whose inner side,
+    below the row count, makes it rank-deficient."""
     rows = draw(st.integers(1, max_side))
     cols = draw(st.integers(1, max_side))
-    if rows == 1 or draw(st.booleans()):
+    kind = draw(st.sampled_from(["dense", "mixed", "sparse", "product"]))
+    if kind == "mixed":
+        return _gaussian_grid(draw, rows, cols, mixed_entries)
+    if kind == "sparse":
+        m = _gaussian_grid(draw, rows, cols, sparse_entries)
+        zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+        zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+        return ExactMatrix(rows, cols, [
+            EC_ZERO if i in zero_rows or j in zero_cols else m.entry(i, j)
+            for i in range(rows) for j in range(cols)])
+    if kind == "dense" or rows == 1:
         return _gaussian_grid(draw, rows, cols)
     inner = draw(st.integers(1, rows - 1))
     return _gaussian_grid(draw, rows, inner) @ _gaussian_grid(draw, inner, cols)
 
 
 @seed(9)
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(gaussian_rational_matrix())
 def test_rank_matches_minor_oracle_on_gaussian_rationals(m):
     # exercises denominator clearing and exact division in Z[i]
