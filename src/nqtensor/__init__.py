@@ -53,12 +53,9 @@ from .scalar_linalg import (
 from .tensor_core import (
     Decomposition,
     DenseTensor,
-    fiber,
     group_matrize,
     lift_order,
     materialize,
-    outer_product,
-    superdiagonal,
     tensor_slice,
     unfold,
 )

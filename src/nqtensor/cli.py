@@ -19,6 +19,7 @@ from .errors import (
     CheckFailure,
     DegenerateN,
     NqtensorError,
+    SizeCapExceeded,
     UsageError,
 )
 from .functions import FAMILIES, canonical_tensor, from_name, load_truth_table
@@ -273,7 +274,9 @@ def cmd_probe(args) -> int:
 
 def cmd_verify_all(args) -> int:
     instances = GIP_INSTANCES
-    if args.n is not None and args.k is not None:
+    if (args.n is None) != (args.k is None):
+        raise UsageError("verify-all takes --n and --k together or neither")
+    if args.n is not None:
         _gip_function(args.n, args.k)
         instances = ((args.n, args.k),)
     results, rows, ok = run_verify_all(args.seed, instances)
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the full verification suite")
     _add_common(p, function=False, seed=True)
     p.add_argument("--n", type=int, default=None,
-                   help="restrict the GIP certificate to one instance")
+                   help="restrict the GIP certificate to one instance (with --k)")
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(fn=cmd_verify_all)
 
@@ -381,8 +384,9 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, OSError) as exc:
-        # FormatError is a UsageError; an input file that cannot be read is one too
+    except (UsageError, SizeCapExceeded, OSError) as exc:
+        # FormatError is a UsageError; an input file that cannot be read or an
+        # input too large to build is one too
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except NqtensorError as exc:

@@ -79,15 +79,8 @@ class BooleanFunction:
         by construction, so none is checked again."""
         return [self._eval(xs) for xs in self.inputs()]
 
-    def sign_value(self, xs) -> int:
-        """The +-1 view: +1 on 1-inputs, -1 on 0-inputs."""
-        return 2 * self.value(xs) - 1
-
     def inputs(self):
         return product(range(self.side), repeat=self.k)
-
-    def ones(self):
-        return (xs for xs, v in zip(self.inputs(), self.table()) if v == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -89,26 +89,14 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _channel_xor(d: int, flip_for_local) -> np.ndarray:
-    """|h,c> -> |h, c xor flip_for_local(h)>; a permutation on H (x) C."""
-    u = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    for h in range(d):
-        v = flip_for_local(h) & 1
-        for c in range(2):
-            u[h * 2 + (c ^ v), h * 2 + c] = 1.0
-    return u
-
-
-def _swap_channel_into_slot(d: int, slot: int) -> np.ndarray:
-    """Swap the channel qubit with local qubit `slot` (0-based)."""
-    if d < 2 ** (slot + 1):
-        raise DimMismatch(f"player dim {d} has no qubit slot {slot}")
+def _permutation(d: int, image) -> np.ndarray:
+    """The read-only 0/1 unitary |h,c> -> |image(h, c)> on H (x) C, dim H = d."""
     u = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     for h in range(d):
         for c in range(2):
-            old = (h >> slot) & 1
-            h2 = (h & ~(1 << slot)) | (c << slot)
-            u[h2 * 2 + old, h * 2 + c] = 1.0
+            h2, c2 = image(h, c)
+            u[h2 * 2 + c2, h * 2 + c] = 1.0
+    u.flags.writeable = False
     return u
 
 
@@ -124,13 +112,6 @@ def _swap_channel_into_slot(d: int, slot: int) -> np.ndarray:
 # one read-only array.
 
 
-def _shared(u) -> np.ndarray:
-    """A read-only complex128 copy of ``u``, safe to return from every call."""
-    u = np.array(u, dtype=np.complex128)
-    u.flags.writeable = False
-    return u
-
-
 def _named(make, label: str, nih_only: bool = False):
     """Tag a generator with its turn label and whether it reads its own input."""
     make.label = label
@@ -138,11 +119,17 @@ def _named(make, label: str, nih_only: bool = False):
     return make
 
 
+def _fixed(u: np.ndarray, label: str):
+    """A generator that returns the one read-only unitary ``u`` at every input."""
+    return _named(lambda visible: u, label)
+
+
 def gen_write_bit(d: int, n: int, j: int):
     """Channel <- channel xor (bit j of the player's own string)."""
     if not 1 <= j <= n:
         raise DimMismatch(f"bit index {j} out of range 1..{n}")
-    by_bit = (_shared(np.eye(2 * d)), _shared(_channel_xor(d, lambda h: 1)))
+    by_bit = (_permutation(d, lambda h, c: (h, c)),
+              _permutation(d, lambda h, c: (h, c ^ 1)))
 
     def make(visible):
         return by_bit[(int(visible) >> (n - j)) & 1]
@@ -152,32 +139,22 @@ def gen_write_bit(d: int, n: int, j: int):
 
 def gen_flip_channel(d: int):
     """Unconditional NOT on the channel qubit."""
-    u = _shared(_channel_xor(d, lambda h: 1))
-
-    def make(visible):
-        return u
-
-    return _named(make, "flip-channel")
+    return _fixed(_permutation(d, lambda h, c: (h, c ^ 1)), "flip-channel")
 
 
 def gen_cnot_channel(d: int, slot: int):
     """CNOT: control = local qubit `slot` (1-based), target = channel."""
-    u = _shared(_channel_xor(d, lambda h: (h >> (slot - 1)) & 1))
-
-    def make(visible):
-        return u
-
-    return _named(make, f"cnot-channel {slot}")
+    u = _permutation(d, lambda h, c: (h, c ^ ((h >> (slot - 1)) & 1)))
+    return _fixed(u, f"cnot-channel {slot}")
 
 
 def gen_store(d: int, slot: int):
     """Swap the channel qubit into local slot `slot` (1-based)."""
-    u = _shared(_swap_channel_into_slot(d, slot - 1))
-
-    def make(visible):
-        return u
-
-    return _named(make, f"store {slot}")
+    bit = slot - 1
+    if d < 2 ** slot:
+        raise DimMismatch(f"player dim {d} has no qubit slot {bit}")
+    u = _permutation(d, lambda h, c: ((h & ~(1 << bit)) | (c << bit), (h >> bit) & 1))
+    return _fixed(u, f"store {slot}")
 
 
 def gen_compare_and_flag(d: int, n: int):
@@ -198,21 +175,19 @@ def gen_compare_and_flag(d: int, n: int):
 
     def make(visible):
         own = int(visible)
-        return _channel_xor(d, lambda h: 1 if unpack(h, 0) == unpack(h, n) == own else 0)
+        flag = [int(unpack(h, 0) == unpack(h, n) == own) for h in range(d)]
+        return _permutation(d, lambda h, c: (h, c ^ flag[h]))
 
     return _named(make, "compare-and-flag", nih_only=True)
 
 
 def gen_matrix_literal(d: int, matrix: np.ndarray):
     """A fixed, input-independent unitary supplied as a literal."""
-    m = _shared(matrix)
+    m = np.array(matrix, dtype=np.complex128)
     if m.shape != (2 * d, 2 * d):
         raise DimMismatch(f"literal must be {2 * d}x{2 * d}, got {m.shape}")
-
-    def make(visible):
-        return m
-
-    return _named(make, "matrix")
+    m.flags.writeable = False
+    return _fixed(m, "matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +567,6 @@ LIFT_LENGTH = 2
 class NofProtocol:
     """Compiled SVD protocol for one nondeterministic tensor."""
 
-    source: str
     f: BooleanFunction
     lifted: bool
     split: int
@@ -633,7 +607,6 @@ def build_nof_protocol(d: Decomposition, f: BooleanFunction) -> NofProtocol:
     r = numerical_rank(s, (g.rows, g.cols))
     q = math.ceil(math.log2(r)) if r >= 1 else 0
     return NofProtocol(
-        source=f"{f.name}_n{f.n}_k{f.k}",
         f=f,
         lifted=lifted,
         split=split,

@@ -76,7 +76,3 @@ def render_tsv(rows) -> str:
 def write_tsv(path, rows) -> None:
     with open(path, "w") as fh:
         fh.write(render_tsv(rows))
-
-
-def failed_rows(rows):
-    return [r for r in rows if r.verdict == FAIL]

@@ -15,11 +15,11 @@ Two parallel scalar worlds are kept deliberately separate:
   matrices built from simulated states, where a numerical kernel is the
   right tool.
 
-Matrices come in matching flavors (:class:`ExactMatrix`, :class:`FloatMatrix`);
-both serialize to the ``.mat`` text format, whose ``p/q`` rational tokens
-(:func:`format_rational`, :func:`parse_rational`) the ``.tsr`` and ``.dec``
-formats share.  All values are immutable after construction and safe to
-share across workers.
+Matrices come in matching flavors (:class:`ExactMatrix`, :class:`FloatMatrix`).
+An exact matrix is written to the ``.mat`` text format, whose ``p/q``
+rational tokens (:func:`format_rational`, :func:`parse_rational`) the
+``.tsr`` and ``.dec`` formats share.  All values are immutable after
+construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -90,9 +90,6 @@ class ExactComplex:
     def __neg__(self) -> "ExactComplex":
         return ExactComplex(-self.re, -self.im)
 
-    def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -148,41 +145,11 @@ class ExactMatrix:
             flat.extend(coerce_exact(v) for v in r)
         return cls(nrows, ncols, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [EC_ONE if i == j else EC_ZERO for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [EC_ZERO] * (rows * cols))
-
     def entry(self, i: int, j: int) -> ExactComplex:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int):
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols, self.rows,
-            [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def scale(self, c: ExactComplex) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, [c * e for e in self.entries])
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise DimMismatch("inner dimensions disagree")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = EC_ZERO
-                for t in range(self.cols):
-                    acc = acc + ri[t] * other.entry(t, j)
-                out.append(acc)
-        return ExactMatrix(self.rows, other.cols, out)
 
     def __eq__(self, other):
         return (
@@ -217,9 +184,6 @@ class FloatMatrix:
     @property
     def cols(self) -> int:
         return self.array.shape[1]
-
-    def entry(self, i: int, j: int) -> complex:
-        return complex(self.array[i, j])
 
     def __repr__(self):
         return f"FloatMatrix({self.rows}x{self.cols})"
@@ -336,7 +300,7 @@ def to_float(m: ExactMatrix) -> FloatMatrix:
 
 
 # ---------------------------------------------------------------------------
-# .mat text format
+# Text tokens and the .mat format
 # ---------------------------------------------------------------------------
 
 _RATIONAL = r"(-?\d+)/(-?\d+)"
@@ -374,13 +338,8 @@ def parse_exact_scalar(tok: str, line=None) -> ExactComplex:
     return ExactComplex(_rational(rp, rq, tok, line), _rational(ip, iq, tok, line))
 
 
-def format_float_scalar(z: complex) -> str:
-    im = z.imag
-    sign = "-" if (im < 0 or (im == 0 and math.copysign(1.0, im) < 0)) else "+"
-    return f"{z.real!r}{sign}{abs(im)!r}i"
-
-
 def parse_float_scalar(tok: str, line=None) -> complex:
+    """Parse one ``re+imi`` float token, as in a scenario's matrix literal."""
     if not tok.endswith("i"):
         raise FormatError(f"bad float entry {tok!r}", line)
     try:
@@ -389,46 +348,10 @@ def parse_float_scalar(tok: str, line=None) -> complex:
         raise FormatError(f"bad float entry {tok!r}", line) from exc
 
 
-def write_mat(path, m) -> None:
-    """Serialize an ExactMatrix or FloatMatrix to the .mat text format."""
+def write_mat(path, m: ExactMatrix) -> None:
+    """Serialize an ExactMatrix to the .mat text format."""
     lines = [f"{m.rows} {m.cols}"]
-    if isinstance(m, ExactMatrix):
-        for i in range(m.rows):
-            lines.append(" ".join(format_exact_scalar(e) for e in m.row(i)))
-    else:
-        for i in range(m.rows):
-            lines.append(" ".join(format_float_scalar(m.entry(i, j)) for j in range(m.cols)))
+    for i in range(m.rows):
+        lines.append(" ".join(format_exact_scalar(e) for e in m.row(i)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_mat(path):
-    """Parse a .mat file; entries with '/' are exact, otherwise float."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise FormatError("empty .mat file", 1)
-    head = raw[0].split()
-    if len(head) != 2:
-        raise FormatError("header must be 'rows cols'", 1)
-    try:
-        rows, cols = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError("header must be 'rows cols'", 1) from None
-    if len(raw) < rows + 1:
-        raise FormatError(f"expected {rows} rows", len(raw))
-    body = [raw[1 + i].split() for i in range(rows)]
-    for i, toks in enumerate(body):
-        if len(toks) != cols:
-            raise FormatError(f"expected {cols} entries", 2 + i)
-    is_exact = rows == 0 or cols == 0 or "/" in body[0][0]
-    if is_exact:
-        flat = []
-        for i, toks in enumerate(body):
-            flat.extend(parse_exact_scalar(t, 2 + i) for t in toks)
-        return ExactMatrix(rows, cols, flat)
-    arr = np.empty((rows, cols), dtype=np.complex128)
-    for i, toks in enumerate(body):
-        for j, t in enumerate(toks):
-            arr[i, j] = parse_float_scalar(t, 2 + i)
-    return FloatMatrix(arr)

@@ -14,7 +14,6 @@ superdiagonal witness with ``side`` terms costs ``side`` products, not
 
 Sections follow the usual conventions:
 
-* ``fiber``           — fix all but one index, read a vector.
 * ``tensor_slice``    — fix all but two indices, read a matrix.
 * ``unfold``          — mode-i fibers arranged as columns, remaining indices
                         in ascending-mode lexicographic order.
@@ -72,18 +71,11 @@ class DenseTensor:
     def order(self) -> int:
         return len(self.dims)
 
-    @classmethod
-    def zero(cls, dims) -> "DenseTensor":
-        return cls(dims, [EC_ZERO] * math.prod(dims))
-
     def entry(self, idx) -> ExactComplex:
         return self.entries[flat_offset(self.dims, idx)]
 
     def indices(self):
         return product(*(range(d) for d in self.dims))
-
-    def scale(self, c: ExactComplex) -> "DenseTensor":
-        return DenseTensor(self.dims, [c * e for e in self.entries])
 
     def __eq__(self, other):
         return (
@@ -158,24 +150,6 @@ def check_size_cap(dims) -> None:
 # ---------------------------------------------------------------------------
 
 
-def outer_product(vectors) -> DenseTensor:
-    """Rank-1 tensor whose entry at (j_1..j_k) is the product of components."""
-    vectors = [tuple(coerce_exact(v) for v in vec) for vec in vectors]
-    if len(vectors) < 2:
-        raise DimMismatch("need at least two vectors")
-    if any(len(v) == 0 for v in vectors):
-        raise DimMismatch("vectors must be nonempty")
-    dims = tuple(len(v) for v in vectors)
-    check_size_cap(dims)
-    entries = []
-    for idx in product(*(range(d) for d in dims)):
-        acc = EC_ONE
-        for vec, j in zip(vectors, idx):
-            acc = acc * vec[j]
-        entries.append(acc)
-    return DenseTensor(dims, entries)
-
-
 def materialize(d: Decomposition) -> DenseTensor:
     """Entrywise sum of the outer products of all terms.
 
@@ -205,20 +179,6 @@ def materialize(d: Decomposition) -> DenseTensor:
         if re or im:
             entries[off] = ExactComplex(re, im)
     return DenseTensor(d.dims, entries)
-
-
-def superdiagonal(side: int, diag, order: int) -> DenseTensor:
-    """Tensor with diag[j] at position (j,...,j) and zero elsewhere."""
-    diag = [coerce_exact(v) for v in diag]
-    if len(diag) != side:
-        raise DimMismatch("diag length must equal side")
-    dims = (side,) * order
-    check_size_cap(dims)
-    entries = [EC_ZERO] * math.prod(dims)
-    step = sum(strides(dims))
-    for j in range(side):
-        entries[j * step] = diag[j]
-    return DenseTensor(dims, entries)
 
 
 def superdiagonal_decomposition(side: int, diag, order: int) -> Decomposition:
@@ -267,17 +227,6 @@ def _mode_offsets(t: DenseTensor, modes) -> list:
     for m in modes:
         offsets = [o + j * st[m - 1] for o in offsets for j in range(t.dims[m - 1])]
     return offsets
-
-
-def fiber(t: DenseTensor, mode: int, fixed):
-    """Mode-`mode` fiber: the vector along the free index at `fixed`.
-
-    `fixed` supplies one value per mode; the entry at the free mode is
-    ignored (conventionally None).
-    """
-    _check_mode(t, mode)
-    base = _fixed_offset(t, fixed, free={mode})
-    return tuple(t.entries[base + o] for o in _mode_offsets(t, (mode,)))
 
 
 def tensor_slice(t: DenseTensor, mode_a: int, mode_b: int, fixed) -> ExactMatrix:

@@ -5,18 +5,33 @@ nonsingular square submatrix, exact determinants).  It shares no code path
 with the elimination-based rank in the package, so it can serve as an
 independent cross-check on small matrices.
 
+The matrix and tensor constructors below (``identity``, ``zero_matrix``,
+``transpose``, ``matmul``, ``zero_tensor``, ``scale``, ``outer_product``,
+``superdiagonal``) and the exact-only ``.mat`` reader ``read_mat`` are
+reference oracles: they build entry by entry with ``ExactComplex``
+arithmetic, and no command of the package needs them.
+
 ``cli_env`` is the environment for a child ``python -m nqtensor``: the
 ``pythonpath`` pytest setting reaches only this process, so the child gets
 the package's ``src`` directory through ``PYTHONPATH``.
 """
 
+import math
 import os
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import nqtensor
-from nqtensor.scalar_linalg import EC_ONE, EC_ZERO, ExactComplex, ExactMatrix
+from nqtensor.scalar_linalg import (
+    EC_ONE,
+    EC_ZERO,
+    ExactComplex,
+    ExactMatrix,
+    coerce_exact,
+    parse_exact_scalar,
+)
+from nqtensor.tensor_core import DenseTensor
 
 
 def cli_env() -> dict:
@@ -60,3 +75,65 @@ def minor_rank(m: ExactMatrix) -> int:
         else:
             break
     return best
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix(n, n, [EC_ONE if i == j else EC_ZERO
+                              for i in range(n) for j in range(n)])
+
+
+def zero_matrix(rows: int, cols: int) -> ExactMatrix:
+    return ExactMatrix(rows, cols, [EC_ZERO] * (rows * cols))
+
+
+def transpose(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(m.cols, m.rows,
+                       [m.entry(i, j) for j in range(m.cols) for i in range(m.rows)])
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    assert a.cols == b.rows, "inner dimensions disagree"
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = EC_ZERO
+            for t in range(a.cols):
+                acc = acc + a.entry(i, t) * b.entry(t, j)
+            out.append(acc)
+    return ExactMatrix(a.rows, b.cols, out)
+
+
+def zero_tensor(dims) -> DenseTensor:
+    return DenseTensor(dims, [EC_ZERO] * math.prod(dims))
+
+
+def scale(t: DenseTensor, c: ExactComplex) -> DenseTensor:
+    return DenseTensor(t.dims, [c * e for e in t.entries])
+
+
+def outer_product(vectors) -> DenseTensor:
+    """Rank-1 tensor whose entry at (j_1..j_k) is the product of components."""
+    vectors = [[coerce_exact(v) for v in vec] for vec in vectors]
+    entries = []
+    for idx in product(*(range(len(v)) for v in vectors)):
+        acc = EC_ONE
+        for vec, j in zip(vectors, idx):
+            acc = acc * vec[j]
+        entries.append(acc)
+    return DenseTensor([len(v) for v in vectors], entries)
+
+
+def superdiagonal(side: int, diag, order: int) -> DenseTensor:
+    """Tensor with diag[j] at position (j,...,j) and zero elsewhere."""
+    dims = (side,) * order
+    entries = [coerce_exact(diag[idx[0]]) if len(set(idx)) == 1 else EC_ZERO
+               for idx in product(range(side), repeat=order)]
+    return DenseTensor(dims, entries)
+
+
+def read_mat(path) -> ExactMatrix:
+    """Parse the exact ``.mat`` format that ``unfold`` writes."""
+    head, *body = Path(path).read_text().splitlines()
+    rows, cols = (int(tok) for tok in head.split())
+    return ExactMatrix(rows, cols, [parse_exact_scalar(tok)
+                                    for line in body for tok in line.split()])

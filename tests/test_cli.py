@@ -4,10 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cli_env
+from conftest import cli_env, read_mat
 from nqtensor import cli, verify
 from nqtensor.reports import FAIL, Row
-from nqtensor.scalar_linalg import read_mat
 from nqtensor.tensor_core import read_dec, read_tsr
 from nqtensor.verify import CriterionResult
 
@@ -181,7 +180,10 @@ def test_out_of_range_option_is_usage_error(tmp_path, args):
     ("protocol", "sweep", "--function", "eq", "--n", "1", "--k", "3", "--lift-dummy", "-1"),
     ("gip-cert", "--k", "2"),
     ("verify-all", "--n", "2", "--k", "2"),
+    ("verify-all", "--n", "3"),
+    ("verify-all", "--k", "4"),
     ("rank", "--tsr", "missing.tsr"),
+    ("rank", "--function", "eq", "--n", "9", "--k", "3"),
 ])
 def test_bad_arity_range_or_file_is_usage_error(tmp_path, args):
     res = run_cli(*args, "--out", str(tmp_path), cwd=tmp_path)

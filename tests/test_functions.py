@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
+from conftest import superdiagonal, zero_tensor
 from nqtensor.errors import ArityMismatch, FormatError, SizeCapExceeded
 from nqtensor.functions import (
     FAMILIES,
@@ -20,7 +21,7 @@ from nqtensor.functions import (
 )
 from nqtensor.rank_bounds import pattern_check, rank_bracket
 from nqtensor.scalar_linalg import exact
-from nqtensor.tensor_core import DenseTensor, materialize, superdiagonal
+from nqtensor.tensor_core import materialize
 
 # ---------------------------------------------------------------------------
 # evaluators
@@ -88,12 +89,6 @@ def test_hamming_symmetries():
         # swap the two bit positions in every string simultaneously
         swapped = tuple(((x & 1) << 1) | (x >> 1) for x in xs)
         assert f.value(swapped) == base
-
-
-def test_sign_view():
-    f = hamming_neq1(2, 3)
-    for xs in f.inputs():
-        assert f.sign_value(xs) == (1 if f.value(xs) == 1 else -1)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +176,7 @@ def test_gip_decomposition_is_tight_witness(n, k):
 
 def test_random_substitution_constant0_is_zero():
     t = random_nondet_substitution(constant(1, 3, 0), rng_seed=5)
-    assert t == DenseTensor.zero((2, 2, 2))
+    assert t == zero_tensor((2, 2, 2))
 
 
 def test_random_substitution_pattern_over_seeds():

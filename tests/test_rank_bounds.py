@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import scale, superdiagonal, zero_tensor
 from nqtensor.errors import (
     DecompositionMismatch,
     DegenerateN,
@@ -25,9 +26,7 @@ from nqtensor.rank_bounds import (
 from nqtensor.scalar_linalg import exact, exact_rank
 from nqtensor.tensor_core import (
     Decomposition,
-    DenseTensor,
     materialize,
-    superdiagonal,
     unfold,
 )
 
@@ -70,7 +69,7 @@ def test_bracket_eq_n2():
 
 
 def test_bracket_zero_tensor():
-    br = rank_bracket(DenseTensor.zero((2, 2, 2)))
+    br = rank_bracket(zero_tensor((2, 2, 2)))
     assert (br.lower, br.upper, br.tight) == (0, 0, True)
 
 
@@ -90,7 +89,7 @@ def test_bracket_rejects_wrong_witness():
 
 def test_bracket_scaling_invariance():
     t = canonical_tensor(gip(2, 3))
-    scaled = t.scale(exact(3, -2))
+    scaled = scale(t, exact(3, -2))
     assert rank_bracket(t) == rank_bracket(scaled)
     assert pattern_check(scaled, gip(2, 3))
 

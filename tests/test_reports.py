@@ -8,7 +8,6 @@ from nqtensor.reports import (
     Row,
     bound_row,
     check_row,
-    failed_rows,
     fmt_value,
     render_tsv,
 )
@@ -44,11 +43,6 @@ def test_render_tsv_shape_and_determinism():
     assert len(lines) == 3
     assert all(len(line.split("\t")) == 5 for line in lines)
     assert render_tsv(rows) == text
-
-
-def test_failed_rows_filter():
-    rows = [check_row("a", 1, 1, "direct"), check_row("b", 1, 2, "direct")]
-    assert [r.quantity for r in failed_rows(rows)] == ["b"]
 
 
 def test_size_cap_env_validation(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import minor_rank
+from conftest import minor_rank, outer_product, scale, superdiagonal, zero_tensor
 from nqtensor.errors import DimMismatch, FormatError, SizeCapExceeded
 from nqtensor.functions import (
     canonical_tensor,
@@ -20,14 +20,11 @@ from nqtensor.scalar_linalg import EC_ONE, EC_ZERO, exact, exact_rank
 from nqtensor.tensor_core import (
     Decomposition,
     DenseTensor,
-    fiber,
     group_matrize,
     lift_order,
     materialize,
-    outer_product,
     read_dec,
     read_tsr,
-    superdiagonal,
     superdiagonal_decomposition,
     tensor_slice,
     unfold,
@@ -59,7 +56,7 @@ def test_outer_product_direct_entry():
 
 def test_materialize_empty_is_zero():
     d = Decomposition((2, 2, 2), ())
-    assert materialize(d) == DenseTensor.zero((2, 2, 2))
+    assert materialize(d) == zero_tensor((2, 2, 2))
 
 
 def test_materialize_single_term_is_outer_product():
@@ -131,27 +128,14 @@ def test_materialize_checks_size_cap(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# fibers and slices
+# slices
 # ---------------------------------------------------------------------------
 
 
-def test_fiber_superdiagonal():
-    t = superdiagonal(2, [1, 1], 3)
-    assert fiber(t, 1, (None, 0, 0)) == (EC_ONE, EC_ZERO)
-    assert fiber(t, 1, (None, 0, 1)) == (EC_ZERO, EC_ZERO)
-
-
-def test_fiber_all_ones():
-    t = outer_product([[1, 1], [1, 1], [1, 1]])
-    for fixed in ((None, 0, 1), (0, None, 0), (1, 1, None)):
-        mode = fixed.index(None) + 1
-        assert fiber(t, mode, fixed) == (EC_ONE, EC_ONE)
-
-
-def test_fiber_bad_fixed_index():
+def test_slice_bad_fixed_index():
     t = superdiagonal(2, [1, 1], 3)
     with pytest.raises(IndexError):
-        fiber(t, 1, (None, 0, 5))
+        tensor_slice(t, 1, 2, (None, None, 5))
 
 
 def test_slice_of_gip_canonical_is_inner_product_pattern():
@@ -161,7 +145,7 @@ def test_slice_of_gip_canonical_is_inner_product_pattern():
 
 
 def test_slice_zero_tensor():
-    sl = tensor_slice(DenseTensor.zero((2, 3, 2)), 1, 2, (None, None, 1))
+    sl = tensor_slice(zero_tensor((2, 3, 2)), 1, 2, (None, None, 1))
     assert all(e.is_zero() for e in sl.entries)
 
 
@@ -201,7 +185,6 @@ def test_sections_read_the_entry_at_each_index(case):
         return _label(idx)
 
     da, db = dims[mode_a - 1], dims[mode_b - 1]
-    assert fiber(t, mode_a, fixed) == tuple(label_at((mode_a, i)) for i in range(da))
     sl = tensor_slice(t, mode_a, mode_b, fixed)
     assert (sl.rows, sl.cols) == (da, db)
     assert all(sl.entry(i, j) == label_at((mode_a, i), (mode_b, j))
@@ -328,7 +311,7 @@ def test_superdiagonal_matches_eq_canonical():
 
 
 def test_superdiagonal_zero_diag():
-    assert superdiagonal(2, [0, 0], 3) == DenseTensor.zero((2, 2, 2))
+    assert superdiagonal(2, [0, 0], 3) == zero_tensor((2, 2, 2))
 
 
 def test_superdiagonal_unfold_rank_counts_nonzeros():
@@ -342,7 +325,7 @@ def test_superdiagonal_unfold_rank_counts_nonzeros():
 
 
 def test_tsr_roundtrip(tmp_path):
-    t = canonical_tensor(gip(2, 3)).scale(exact(Fraction(1, 3), Fraction(-2, 5)))
+    t = scale(canonical_tensor(gip(2, 3)), exact(Fraction(1, 3), Fraction(-2, 5)))
     path = tmp_path / "t.tsr"
     write_tsr(path, t)
     assert read_tsr(path) == t
