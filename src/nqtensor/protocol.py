@@ -162,21 +162,24 @@ def gen_compare_and_flag(d: int, n: int):
     own string are all equal.
 
     Local layout: qubits 0..n-1 hold the first stored string (qubit j-1 is
-    string bit j), qubits n..2n-1 the second.
+    string bit j), qubits n..2n-1 the second.  Only the local state
+    ``s | (s << n)``, where ``s`` packs the own string into qubits 0..n-1,
+    holds it twice, so the unitary is the identity with the channel swapped
+    at that one state.
     """
     if d != 4 ** n:
         raise DimMismatch(f"compare-and-flag needs player dim {4 ** n}, got {d}")
-
-    def unpack(h: int, base: int) -> int:
-        x = 0
-        for j in range(1, n + 1):
-            x |= ((h >> (base + j - 1)) & 1) << (n - j)
-        return x
+    eye = np.eye(2 * d, dtype=np.complex128)
+    eye.flags.writeable = False
 
     def make(visible):
         own = int(visible)
-        flag = [int(unpack(h, 0) == unpack(h, n) == own) for h in range(d)]
-        return _permutation(d, lambda h, c: (h, c ^ flag[h]))
+        s = sum(((own >> (n - j)) & 1) << (j - 1) for j in range(1, n + 1))
+        k = 2 * (s | (s << n))
+        u = eye.copy()
+        u[k:k + 2, k:k + 2] = ((0, 1), (1, 0))
+        u.flags.writeable = False
+        return u
 
     return _named(make, "compare-and-flag", nih_only=True)
 

@@ -7,9 +7,10 @@ Two parallel scalar worlds are kept deliberately separate:
   when it is integral and a reduced ``Fraction`` otherwise, so the small
   Gaussian integers that make up nearly every tensor cost int arithmetic.
   :func:`exact_rank` is the one exact elimination: it clears each row's
-  denominators and runs fraction-free Bareiss elimination over Gaussian
-  integers held as pairs of Python ints, with exact pivot tests, so an exact
-  rank never depends on a tolerance.
+  denominators, drops the zero and repeated columns (neither adds to the
+  column space, so the rank is unchanged), and runs fraction-free Bareiss
+  elimination over Gaussian integers held as pairs of Python ints, with
+  exact pivot tests, so an exact rank never depends on a tolerance.
 * floating complex — plain ``complex`` / ``numpy.complex128``, used for SVD,
   protocol simulation, and the numerical rank (:func:`numerical_rank`) of
   matrices built from simulated states, where a numerical kernel is the
@@ -213,11 +214,20 @@ def exact_rank(m: ExactMatrix) -> int:
     the division by the previous pivot is exact in Z[i] (Bareiss 1968) and
     the intermediate integers stay bounded by those minors.  Pivot tests
     compare against exact zero; no tolerance is involved.
+
+    Only the distinct nonzero columns of the scaled matrix are eliminated.
+    A zero column or a repeated column adds nothing to the column space, and
+    scaling a row by a nonzero integer maps equal columns to equal columns
+    and distinct ones to distinct ones, so the rank is unchanged.  The mode-1
+    unfolding of eq at n = 5, k = 4 is 32 x 32,768 with 32 nonzero columns.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    a = [_gaussian_integer_row(m.row(i)) for i in range(m.rows)]
-    nrows, ncols = m.rows, m.cols
+    scaled = [_gaussian_integer_row(m.row(i)) for i in range(m.rows)]
+    cols = dict.fromkeys(zip(*scaled))
+    cols.pop(((0, 0),) * m.rows, None)
+    a = [list(r) for r in zip(*cols)]
+    nrows, ncols = m.rows, len(cols)
     rank = 0
     prev_re, prev_im = 1, 0
     for c in range(ncols):

@@ -28,11 +28,13 @@ from nqtensor.functions import (
 from nqtensor.protocol import (
     ProtocolSpec,
     Turn,
+    _permutation,
     build_nof_protocol,
     coefficient_search,
     constant_one_spec,
     extract_families,
     gen_cnot_channel,
+    gen_compare_and_flag,
     gen_flip_channel,
     gen_matrix_literal,
     gen_store,
@@ -260,6 +262,24 @@ def test_channel_generators_are_kron_products(d):
     assert gen_write_bit(d, 2, 2)(0b10).tobytes() == keep
     assert gen_write_bit(d, 2, 2)(0b01).tobytes() == flip
     assert gen_flip_channel(d)(0).tobytes() == flip
+
+
+def _compare_and_flag_oracle(n, own):
+    """Flip the channel at every local state whose two stored strings equal own."""
+    def unpack(h, base):
+        return sum(((h >> (base + j - 1)) & 1) << (n - j) for j in range(1, n + 1))
+
+    flag = [int(unpack(h, 0) == unpack(h, n) == own) for h in range(4 ** n)]
+    return _permutation(4 ** n, lambda h, c: (h, c ^ flag[h]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_compare_and_flag_matches_permutation_oracle_bitwise(n):
+    make = gen_compare_and_flag(4 ** n, n)
+    for own in range(2 ** n):
+        u = make(own)
+        assert u.tobytes() == _compare_and_flag_oracle(n, own).tobytes()
+        assert not u.flags.writeable
 
 
 def test_simulators_run_on_read_only_unitaries():

@@ -68,6 +68,16 @@ def test_bracket_eq_n2():
     assert (br.lower, br.upper, br.tight) == (4, 4, True)
 
 
+@pytest.mark.parametrize("f, witness, bracket", [
+    pytest.param(equality(4, 4), eq_nondet_decomposition(4, 4), (16, 16, True), id="eq"),
+    pytest.param(gip(4, 4), None, (15, 4096, False), id="gip"),
+])
+def test_bracket_closed_form_at_n4_k4(f, witness, bracket):
+    # 16 x 4,096 unfoldings with at most 16 distinct nonzero columns
+    br = rank_bracket(canonical_tensor(f), known=witness)
+    assert (br.lower, br.upper, br.tight) == bracket
+
+
 def test_bracket_zero_tensor():
     br = rank_bracket(zero_tensor((2, 2, 2)))
     assert (br.lower, br.upper, br.tight) == (0, 0, True)

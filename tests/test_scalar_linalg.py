@@ -184,14 +184,29 @@ def _gaussian_grid(draw, rows, cols, entries=gaussian_rationals):
     return ExactMatrix(rows, cols, vals)
 
 
+def _from_columns(rows, columns):
+    return ExactMatrix(rows, len(columns), [c[i] for i in range(rows) for c in columns])
+
+
+def _columns(m):
+    return [[m.entry(i, j) for i in range(m.rows)] for j in range(m.cols)]
+
+
 @st.composite
 def gaussian_rational_matrix(draw, max_side=5):
     """A dense matrix, one of mixed int/Fraction entries, a mostly-zero one
-    with whole zero rows and columns, or a product A @ B whose inner side,
-    below the row count, makes it rank-deficient."""
+    with whole zero rows and columns, a product A @ B whose inner side,
+    below the row count, makes it rank-deficient, or a wide one whose
+    columns repeat a few random columns and the zero column."""
     rows = draw(st.integers(1, max_side))
     cols = draw(st.integers(1, max_side))
-    kind = draw(st.sampled_from(["dense", "mixed", "sparse", "product"]))
+    kind = draw(st.sampled_from(["dense", "mixed", "sparse", "product", "repeated"]))
+    if kind == "repeated":
+        rows = draw(st.integers(1, 4))
+        pool = _columns(_gaussian_grid(draw, rows, draw(st.integers(1, 3)), mixed_entries))
+        pool.append([EC_ZERO] * rows)
+        columns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+        return _from_columns(rows, columns)
     if kind == "mixed":
         return _gaussian_grid(draw, rows, cols, mixed_entries)
     if kind == "sparse":
@@ -208,11 +223,26 @@ def gaussian_rational_matrix(draw, max_side=5):
 
 
 @seed(9)
-@settings(max_examples=160, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(gaussian_rational_matrix())
 def test_rank_matches_minor_oracle_on_gaussian_rationals(m):
-    # exercises denominator clearing and exact division in Z[i]
+    # exercises denominator clearing, exact division in Z[i] and the
+    # dropping of zero and repeated columns
     assert exact_rank(m) == minor_rank(m)
+
+
+@seed(10)
+@settings(max_examples=80, deadline=None)
+@given(gaussian_rational_matrix(), st.data())
+def test_rank_ignores_zero_repeated_and_permuted_columns(m, data):
+    rank = exact_rank(m)
+    columns = _columns(m)
+    zeros = data.draw(st.integers(1, 3))
+    assert exact_rank(_from_columns(m.rows, columns + [[EC_ZERO] * m.rows] * zeros)) == rank
+    j = data.draw(st.integers(0, m.cols - 1))
+    at = data.draw(st.integers(0, m.cols))
+    assert exact_rank(_from_columns(m.rows, columns[:at] + [columns[j]] + columns[at:])) == rank
+    assert exact_rank(_from_columns(m.rows, data.draw(st.permutations(columns)))) == rank
 
 
 # ---------------------------------------------------------------------------
