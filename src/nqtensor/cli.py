@@ -15,7 +15,6 @@ import sys
 
 from . import config
 from .errors import (
-    ArityMismatch,
     CheckFailure,
     DegenerateN,
     NqtensorError,
@@ -43,22 +42,14 @@ from .verify import GIP_INSTANCES, run_verify_all
 def _load_function(args):
     if getattr(args, "truth_table", None):
         return load_truth_table(args.truth_table)
-    return _function(args.function, args.n, args.k)
-
-
-def _function(name, n, k):
-    """``from_name``, with an ``--n``/``--k`` it rejects as a usage error."""
-    try:
-        return from_name(name, n, k)
-    except ArityMismatch as exc:
-        raise UsageError(str(exc)) from None
+    return from_name(args.function, args.n, args.k)
 
 
 def _gip_function(n, k):
     """GIP for the slice certificate, which needs at least three players."""
     if k < 3:
         raise UsageError("the GIP certificate needs --k of at least 3")
-    return _function("gip", n, k)
+    return from_name("gip", n, k)
 
 
 def _family_tensor(f):
@@ -209,11 +200,6 @@ def cmd_protocol(args) -> int:
             xs = tuple(int(tok) for tok in args.input.split(","))
         except ValueError:
             raise UsageError(f"--input must be comma-separated integers, got {args.input!r}") from None
-        if len(xs) != f.k:
-            raise UsageError(f"--input needs {f.k} strings, got {len(xs)}")
-        for x in xs:
-            if not 0 <= x < f.side:
-                raise UsageError(f"--input component {x} is not in 0..{f.side - 1}")
         res = run_nof(proto, xs, dummy=args.lift_dummy)
         rows += [
             Row("input", ",".join(str(x) for x in xs), "-", "direct", INFO),
@@ -236,10 +222,10 @@ def cmd_nih_extract(args) -> int:
     elif args.function == "eq":
         if args.k != 3:
             raise UsageError("the built-in relay protocol is 3-party")
-        f = _function("eq", args.n, 3)
+        f = from_name("eq", args.n, 3)
         spec = trivial_eq_relay_spec(args.n)
     elif args.function == "const1":
-        f = _function("const1", args.n, args.k)
+        f = from_name("const1", args.n, args.k)
         spec = constant_one_spec(args.n, args.k)
     else:
         raise UsageError("nih-extract needs --scenario for functions other than "
@@ -385,8 +371,8 @@ def main(argv=None) -> int:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
     except (UsageError, SizeCapExceeded, OSError) as exc:
-        # FormatError is a UsageError; an input file that cannot be read or an
-        # input too large to build is one too
+        # FormatError and ArityMismatch are UsageErrors; an input file that
+        # cannot be read or an input too large to build is one too
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except NqtensorError as exc:

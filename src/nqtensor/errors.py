@@ -5,12 +5,26 @@ class NqtensorError(Exception):
     """Base class for all package-specific errors."""
 
 
+class UsageError(NqtensorError):
+    """Bad command line usage or unreadable input file (exit code 2)."""
+
+
+class FormatError(UsageError):
+    """Malformed artifact file; carries the 1-based offending line number."""
+
+    def __init__(self, message, line=None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
 class DimMismatch(NqtensorError):
     pass
 
 
-class ArityMismatch(NqtensorError):
-    pass
+class ArityMismatch(UsageError):
+    """Wrong number of input strings, or one out of range (exit code 2)."""
 
 
 class SizeCapExceeded(NqtensorError):
@@ -47,20 +61,6 @@ class PremiseViolation(NqtensorError):
 
 class CoefficientNotFound(NqtensorError):
     """Coefficient sampling exhausted its attempt budget."""
-
-
-class UsageError(NqtensorError):
-    """Bad command line usage or unreadable input file (exit code 2)."""
-
-
-class FormatError(UsageError):
-    """Malformed artifact file; carries the 1-based offending line number."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class CheckFailure(NqtensorError):

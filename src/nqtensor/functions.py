@@ -14,10 +14,6 @@ Built-in families (the ``FAMILIES`` registry pairs each with the tensor that
 * ``gip``           — parity of the positions where all k players hold a 1.
 * ``hamming_neq1``  — 1 iff the Hamming weight of the bitwise AND of all
                       strings differs from 1.
-
-``gip`` also carries a ``transpose_roles`` flag that swaps the roles of
-players and positions (parity of the players whose whole string is all ones);
-the default is the reading every construction in this package relies on.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from typing import Callable
 
 from . import config
 from .errors import ArityMismatch, FormatError
-from .scalar_linalg import EC_ONE, EC_ZERO, ExactMatrix, exact
+from .scalar_linalg import EC_ONE, EC_ZERO, exact
 from .tensor_core import (
     Decomposition,
     DenseTensor,
@@ -41,6 +37,18 @@ from .tensor_core import (
 # ---------------------------------------------------------------------------
 # Core type
 # ---------------------------------------------------------------------------
+
+
+def check_strings(xs, k: int, n: int, owner: str) -> tuple:
+    """``xs`` as a tuple of ``k`` ints in 0..2^n - 1, else ArityMismatch."""
+    xs = tuple(xs)
+    if len(xs) != k:
+        raise ArityMismatch(f"{owner} takes {k} strings, got {len(xs)}")
+    side = 2 ** n
+    for x in xs:
+        if not isinstance(x, int) or not 0 <= x < side:
+            raise ArityMismatch(f"input {x!r} is not in 0..{side - 1}")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -63,13 +71,7 @@ class BooleanFunction:
         return 2 ** self.n
 
     def check_input(self, xs) -> tuple:
-        xs = tuple(xs)
-        if len(xs) != self.k:
-            raise ArityMismatch(f"{self.name} takes {self.k} strings, got {len(xs)}")
-        for x in xs:
-            if not isinstance(x, int) or not 0 <= x < self.side:
-                raise ArityMismatch(f"input {x!r} is not in 0..{self.side - 1}")
-        return xs
+        return check_strings(xs, self.k, self.n, self.name)
 
     def value(self, xs) -> int:
         return self._eval(self.check_input(xs))
@@ -100,11 +102,7 @@ def equality(n: int, k: int) -> BooleanFunction:
     return BooleanFunction("eq", n, k, lambda xs: 1 if all(x == xs[0] for x in xs) else 0)
 
 
-def gip(n: int, k: int, transpose_roles: bool = False) -> BooleanFunction:
-    if transpose_roles:
-        full = (1 << n) - 1
-        return BooleanFunction("gip_transposed", n, k,
-                               lambda xs: sum(1 for x in xs if x == full) % 2)
+def gip(n: int, k: int) -> BooleanFunction:
     return BooleanFunction("gip", n, k, lambda xs: _and_weight(n, xs) % 2)
 
 
@@ -175,7 +173,7 @@ def canonical_tensor(f: BooleanFunction) -> DenseTensor:
     return DenseTensor(dims, [EC_ONE if v else EC_ZERO for v in f.table()])
 
 
-def inner_product_matrix(n: int) -> ExactMatrix:
+def inner_product_matrix(n: int) -> DenseTensor:
     """The 2-party inner-product 0/1 matrix (entry <x|y> mod 2)."""
     t = canonical_tensor(gip(n, 2))
     return group_matrize(t, 1)
@@ -300,7 +298,6 @@ FAMILIES = {
     "eq": Family(lambda n, k: equality(n, k),
                  witness=lambda n, k: eq_nondet_decomposition(n, k)),
     "gip": Family(lambda n, k: gip(n, k)),
-    "gip_transposed": Family(lambda n, k: gip(n, k, transpose_roles=True)),
     "hamming_neq1": Family(lambda n, k: hamming_neq1(n, k),
                            tensor=lambda f: hamming_nondet_tensor(f.n, f.k),
                            witness=lambda n, k: hamming_nondet_decomposition(n, k)),

@@ -52,10 +52,11 @@ from .errors import (
     PremiseViolation,
     SizeCapExceeded,
 )
-from .functions import BooleanFunction
+from .functions import BooleanFunction, check_strings
 from .rank_bounds import pattern_check
 from .scalar_linalg import (
-    ExactMatrix,
+    EC_ONE,
+    EC_ZERO,
     FloatMatrix,
     exact_rank,
     numerical_rank,
@@ -142,17 +143,23 @@ def gen_flip_channel(d: int):
     return _fixed(_permutation(d, lambda h, c: (h, c ^ 1)), "flip-channel")
 
 
+def _check_slot(d: int, slot: int) -> None:
+    """:class:`DimMismatch` unless ``d = 2^q`` with ``1 <= slot <= q``."""
+    if d & (d - 1) or not 1 <= slot or d >> slot == 0:
+        raise DimMismatch(f"player dim {d} has no qubit slot {slot}")
+
+
 def gen_cnot_channel(d: int, slot: int):
     """CNOT: control = local qubit `slot` (1-based), target = channel."""
+    _check_slot(d, slot)
     u = _permutation(d, lambda h, c: (h, c ^ ((h >> (slot - 1)) & 1)))
     return _fixed(u, f"cnot-channel {slot}")
 
 
 def gen_store(d: int, slot: int):
     """Swap the channel qubit into local slot `slot` (1-based)."""
+    _check_slot(d, slot)
     bit = slot - 1
-    if d < 2 ** slot:
-        raise DimMismatch(f"player dim {d} has no qubit slot {bit}")
     u = _permutation(d, lambda h, c: ((h & ~(1 << bit)) | (c << bit), (h >> bit) & 1))
     return _fixed(u, f"store {slot}")
 
@@ -237,14 +244,7 @@ class ProtocolSpec:
         return tuple(x for i, x in enumerate(xs, start=1) if i != player)
 
     def check_input(self, xs) -> tuple:
-        xs = tuple(xs)
-        if len(xs) != self.k:
-            raise ArityMismatch(f"protocol takes {self.k} strings, got {len(xs)}")
-        side = 2 ** self.n
-        for x in xs:
-            if not isinstance(x, int) or not 0 <= x < side:
-                raise ArityMismatch(f"input {x!r} is not in 0..{side - 1}")
-        return xs
+        return check_strings(xs, self.k, self.n, "protocol")
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +270,6 @@ class BranchState:
     @property
     def ell(self) -> int:
         return len(self.norm_history)
-
-    def total_sq_norm(self) -> float:
-        return _total_sq_norm(self.branches)
 
     def accepted_transcripts(self):
         return sorted(m for m in self.branches if m and m[-1] == 1)
@@ -465,7 +462,7 @@ _GENERATOR_PARSERS = {
     "cnot-channel": lambda d, n, args, line: gen_cnot_channel(d, _one_int(args, line)),
     "store": lambda d, n, args, line: gen_store(d, _one_int(args, line)),
     "compare-and-flag": lambda d, n, args, line: gen_compare_and_flag(d, n),
-    "matrix": lambda d, n, args, line: gen_matrix_literal(d, _parse_matrix(args, d, line)),
+    "matrix": lambda d, n, args, line: gen_matrix_literal(d, _parse_matrix(args, line)),
 }
 
 
@@ -478,14 +475,12 @@ def _one_int(args, line):
         raise FormatError(f"bad integer {args[0]!r}", line) from None
 
 
-def _parse_matrix(args, d, line):
-    rows = " ".join(args).split(";")
-    m = np.array(
-        [[parse_float_scalar(tok, line) for tok in row.split()] for row in rows]
-    )
-    if m.shape != (2 * d, 2 * d):
-        raise FormatError(f"matrix must be {2 * d}x{2 * d}", line)
-    return m
+def _parse_matrix(args, line):
+    rows = [[parse_float_scalar(tok, line) for tok in row.split()]
+            for row in " ".join(args).split(";")]
+    if len({len(row) for row in rows}) != 1:
+        raise FormatError("matrix rows differ in length", line)
+    return np.array(rows)
 
 
 def read_scenario(path) -> ProtocolSpec:
@@ -524,6 +519,8 @@ def read_scenario(path) -> ProtocolSpec:
                 dims = tuple(int(t) for t in toks[1:])
             except ValueError:
                 raise FormatError("dims must be integers", lineno) from None
+            if any(d < 1 for d in dims):
+                raise FormatError("dims must be positive", lineno)
         elif key == "turn":
             turn_lines.append((lineno, toks[1:]))
         else:
@@ -547,7 +544,11 @@ def read_scenario(path) -> ProtocolSpec:
         if gname not in _GENERATOR_PARSERS:
             known = ", ".join(sorted(_GENERATOR_PARSERS))
             raise FormatError(f"unknown generator {gname!r}; known: {known}", lineno)
-        make = _GENERATOR_PARSERS[gname](dims[player - 1], n, toks[2:], lineno)
+        try:
+            make = _GENERATOR_PARSERS[gname](dims[player - 1], n, toks[2:], lineno)
+        except (DimMismatch, ValueError) as exc:
+            # a generator that cannot act on this player is a malformed line
+            raise FormatError(str(exc), lineno) from None
         turns.append(Turn(player, make))
     if not turns:
         raise FormatError("scenario has no turns", len(raw) or 1)
@@ -843,7 +844,8 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
     grouped = coeff.grouped
     pattern_ok = bool(np.array_equal(np.abs(grouped) > config.ACCEPT_EPS, ones))
     grouped_rank = numerical_rank(svd(FloatMatrix(grouped))[1], grouped.shape)
-    pattern_rank = exact_rank(ExactMatrix.from_rows(ones.astype(int).tolist()))
+    pattern_rank = exact_rank(DenseTensor(ones.shape, [EC_ONE if v else EC_ZERO
+                                                       for v in ones.flat]))
     implied = (math.ceil(math.log2(pattern_rank)) + 1) if pattern_rank >= 1 else 0
     ell = spec.ell
     return NihCertificate(

@@ -1,11 +1,12 @@
-"""Exact and floating scalar/matrix layer.
+"""Exact scalars, float matrices, exact rank, SVD and the ``.mat`` writer.
 
 Two parallel scalar worlds are kept deliberately separate:
 
-* :class:`ExactComplex` — Gaussian rationals, the entries of tensors,
-  decompositions and exact matrices.  Each component is a Python ``int``
-  when it is integral and a reduced ``Fraction`` otherwise, so the small
-  Gaussian integers that make up nearly every tensor cost int arithmetic.
+* :class:`ExactComplex` — Gaussian rationals, the entries of tensors and
+  decompositions; an exact matrix is an order-2 ``tensor_core.DenseTensor``.
+  Each component is a Python ``int`` when it is integral and a reduced
+  ``Fraction`` otherwise, so the small Gaussian integers that make up nearly
+  every tensor cost int arithmetic.
   :func:`exact_rank` is the one exact elimination: it clears each row's
   denominators, drops the zero and repeated columns (neither adds to the
   column space, so the rank is unchanged), and runs fraction-free Bareiss
@@ -16,11 +17,11 @@ Two parallel scalar worlds are kept deliberately separate:
   matrices built from simulated states, where a numerical kernel is the
   right tool.
 
-Matrices come in matching flavors (:class:`ExactMatrix`, :class:`FloatMatrix`).
-An exact matrix is written to the ``.mat`` text format, whose ``p/q``
-rational tokens (:func:`format_rational`, :func:`parse_rational`) the
-``.tsr`` and ``.dec`` formats share.  All values are immutable after
-construction and safe to share across workers.
+A :class:`FloatMatrix` holds finite complex128 entries, read-only.  An exact
+matrix is written to the ``.mat`` text format, whose ``p/q`` rational tokens
+(:func:`format_rational`, :func:`parse_rational`) the ``.tsr`` and ``.dec``
+formats share.  All values are immutable after construction and safe to share
+across workers.
 """
 
 from __future__ import annotations
@@ -29,10 +30,14 @@ import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConvergenceFailure, DimMismatch, FormatError
+
+if TYPE_CHECKING:  # tensor_core imports this module at run time
+    from .tensor_core import DenseTensor
 
 # ---------------------------------------------------------------------------
 # Scalars
@@ -116,52 +121,17 @@ def exact(re, im=0) -> ExactComplex:
     return ExactComplex(re, im)
 
 
+def coerce_exact(v) -> ExactComplex:
+    if isinstance(v, ExactComplex):
+        return v
+    if isinstance(v, (int, Fraction)):
+        return ExactComplex(v, 0)
+    raise TypeError(f"cannot coerce {type(v).__name__} to ExactComplex")
+
+
 # ---------------------------------------------------------------------------
-# Matrices
+# Float matrices
 # ---------------------------------------------------------------------------
-
-
-class ExactMatrix:
-    """Row-major matrix of ExactComplex entries."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise DimMismatch(f"expected {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows_of_entries) -> "ExactMatrix":
-        rows_of_entries = [list(r) for r in rows_of_entries]
-        nrows = len(rows_of_entries)
-        ncols = len(rows_of_entries[0]) if nrows else 0
-        flat = []
-        for r in rows_of_entries:
-            if len(r) != ncols:
-                raise DimMismatch("ragged rows")
-            flat.extend(coerce_exact(v) for v in r)
-        return cls(nrows, ncols, flat)
-
-    def entry(self, i: int, j: int) -> ExactComplex:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
 
 
 class FloatMatrix:
@@ -190,21 +160,14 @@ class FloatMatrix:
         return f"FloatMatrix({self.rows}x{self.cols})"
 
 
-def coerce_exact(v) -> ExactComplex:
-    if isinstance(v, ExactComplex):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return ExactComplex(v, 0)
-    raise TypeError(f"cannot coerce {type(v).__name__} to ExactComplex")
-
-
 # ---------------------------------------------------------------------------
 # Rank over the exact field
 # ---------------------------------------------------------------------------
 
 
-def exact_rank(m: ExactMatrix) -> int:
-    """Rank of an exact matrix by fraction-free Bareiss elimination over Z[i].
+def exact_rank(m: DenseTensor) -> int:
+    """Rank of an exact matrix (an order-2 tensor) by fraction-free Bareiss
+    elimination over Z[i].
 
     Each row is first scaled by the lcm of its entries' denominators, which
     leaves the rank unchanged and turns every entry into a Gaussian integer,
@@ -300,8 +263,8 @@ def numerical_rank(sigma, shape) -> int:
 # ---------------------------------------------------------------------------
 
 
-def to_float(m: ExactMatrix) -> FloatMatrix:
-    """Entrywise nearest-binary64 image of an exact matrix.
+def to_float(m: DenseTensor) -> FloatMatrix:
+    """Entrywise nearest-binary64 image of an exact order-2 tensor.
 
     Raises ``OverflowError`` when a magnitude exceeds the binary64 range.
     """
@@ -358,8 +321,8 @@ def parse_float_scalar(tok: str, line=None) -> complex:
         raise FormatError(f"bad float entry {tok!r}", line) from exc
 
 
-def write_mat(path, m: ExactMatrix) -> None:
-    """Serialize an ExactMatrix to the .mat text format."""
+def write_mat(path, m: DenseTensor) -> None:
+    """Serialize an exact order-2 tensor to the .mat text format."""
     lines = [f"{m.rows} {m.cols}"]
     for i in range(m.rows):
         lines.append(" ".join(format_exact_scalar(e) for e in m.row(i)))

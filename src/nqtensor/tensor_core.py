@@ -1,7 +1,8 @@
 """Dense order-k tensors over the exact field, and their standard sections.
 
 A :class:`DenseTensor` is a flat row-major array (last index fastest) with an
-explicit ``dims`` vector.  The layout lives here and nowhere else:
+explicit ``dims`` vector; one of order 2 is an exact matrix.  The layout
+lives here and nowhere else:
 :func:`strides` gives each mode's flat step, :func:`flat_offset` turns an
 index tuple into a flat offset, and the sections below gather entries at
 strided offsets.  A :class:`Decomposition` is a list of rank-1 terms, each
@@ -14,7 +15,7 @@ superdiagonal witness with ``side`` terms costs ``side`` products, not
 
 Sections follow the usual conventions:
 
-* ``tensor_slice``    — fix all but two indices, read a matrix.
+* ``tensor_slice``    — fix all but two indices, read an order-2 tensor.
 * ``unfold``          — mode-i fibers arranged as columns, remaining indices
                         in ascending-mode lexicographic order.
 * ``group_matrize``   — merge the leading ``split`` modes into rows and the
@@ -37,7 +38,6 @@ from .scalar_linalg import (
     EC_ONE,
     EC_ZERO,
     ExactComplex,
-    ExactMatrix,
     coerce_exact,
     format_exact_scalar,
     format_rational,
@@ -51,7 +51,10 @@ from .scalar_linalg import (
 
 
 class DenseTensor:
-    """Order-k dense tensor of ExactComplex entries, row-major storage."""
+    """Order-k dense tensor of ExactComplex entries, row-major storage.
+
+    ``rows``, ``cols`` and ``row(i)`` read it as a matrix, rows over mode 1
+    and columns over the rest: of order 2 it is an exact matrix."""
 
     __slots__ = ("dims", "entries")
 
@@ -70,6 +73,17 @@ class DenseTensor:
     @property
     def order(self) -> int:
         return len(self.dims)
+
+    @property
+    def rows(self) -> int:
+        return self.dims[0]
+
+    @property
+    def cols(self) -> int:
+        return strides(self.dims)[0]
+
+    def row(self, i: int) -> tuple:
+        return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def entry(self, idx) -> ExactComplex:
         return self.entries[flat_offset(self.dims, idx)]
@@ -229,18 +243,18 @@ def _mode_offsets(t: DenseTensor, modes) -> list:
     return offsets
 
 
-def tensor_slice(t: DenseTensor, mode_a: int, mode_b: int, fixed) -> ExactMatrix:
+def tensor_slice(t: DenseTensor, mode_a: int, mode_b: int, fixed) -> DenseTensor:
     """Two-dimensional section: rows run over mode_a, columns over mode_b."""
     _check_mode(t, mode_a)
     _check_mode(t, mode_b)
     if not mode_a < mode_b:
         raise IndexError("need mode_a < mode_b")
     base = _fixed_offset(t, fixed, free={mode_a, mode_b})
-    return ExactMatrix(t.dims[mode_a - 1], t.dims[mode_b - 1],
+    return DenseTensor((t.dims[mode_a - 1], t.dims[mode_b - 1]),
                        [t.entries[base + o] for o in _mode_offsets(t, (mode_a, mode_b))])
 
 
-def unfold(t: DenseTensor, mode: int) -> ExactMatrix:
+def unfold(t: DenseTensor, mode: int) -> DenseTensor:
     """Mode-`mode` unfolding: fibers as columns.
 
     Columns are ordered lexicographically by the remaining indices taken in
@@ -249,17 +263,17 @@ def unfold(t: DenseTensor, mode: int) -> ExactMatrix:
     _check_mode(t, mode)
     cols = _mode_offsets(t, [m for m in range(1, t.order + 1) if m != mode])
     rows = _mode_offsets(t, (mode,))
-    return ExactMatrix(len(rows), len(cols), [t.entries[r + c] for r in rows for c in cols])
+    return DenseTensor((len(rows), len(cols)), [t.entries[r + c] for r in rows for c in cols])
 
 
-def group_matrize(t: DenseTensor, split: int) -> ExactMatrix:
+def group_matrize(t: DenseTensor, split: int) -> DenseTensor:
     """Merge modes 1..split into rows and modes split+1..k into columns."""
     if not 1 <= split < t.order:
         raise IndexError(f"split {split} out of range for order {t.order}")
     rows = math.prod(t.dims[:split])
     cols = math.prod(t.dims[split:])
     # row-major storage with last index fastest makes this a plain reshape
-    return ExactMatrix(rows, cols, t.entries)
+    return DenseTensor((rows, cols), t.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +345,13 @@ def read_tsr(path) -> DenseTensor:
         val = ExactComplex(parse_rational(toks[order], lineno),
                            parse_rational(toks[order + 1], lineno))
         try:
-            entries[flat_offset(dims, idx)] = val
+            off = flat_offset(dims, idx)
         except IndexError:
             raise FormatError(f"index {idx} out of range", lineno) from None
+        # each line stores a new scalar, so only an unwritten slot holds EC_ZERO
+        if entries[off] is not EC_ZERO:
+            raise FormatError(f"duplicate index {idx}", lineno)
+        entries[off] = val
     return DenseTensor(dims, entries)
 
 
@@ -362,6 +380,8 @@ def read_dec(path) -> Decomposition:
         raise FormatError("header must be 'order dims... r'", 1) from None
     if len(head) != order + 2:
         raise FormatError("header must be 'order dims... r'", 1)
+    if order < 2 or min(dims) < 0 or r < 0:
+        raise FormatError("need order >= 2, dims >= 0 and term count >= 0", 1)
     body = [(lineno, line) for lineno, line in enumerate(raw[1:], start=2)
             if line.strip()]
     if len(body) < r * order:

@@ -5,8 +5,9 @@ nonsingular square submatrix, exact determinants).  It shares no code path
 with the elimination-based rank in the package, so it can serve as an
 independent cross-check on small matrices.
 
-The matrix and tensor constructors below (``identity``, ``zero_matrix``,
-``transpose``, ``matmul``, ``zero_tensor``, ``scale``, ``outer_product``,
+A matrix is an order-2 ``DenseTensor``.  The matrix and tensor
+constructors below (``identity``, ``zero_matrix``, ``transpose``,
+``matmul``, ``zero_tensor``, ``scale``, ``outer_product``,
 ``superdiagonal``) and the exact-only ``.mat`` reader ``read_mat`` are
 reference oracles: they build entry by entry with ``ExactComplex``
 arithmetic, and no command of the package needs them.
@@ -27,7 +28,6 @@ from nqtensor.scalar_linalg import (
     EC_ONE,
     EC_ZERO,
     ExactComplex,
-    ExactMatrix,
     coerce_exact,
     parse_exact_scalar,
 )
@@ -56,9 +56,9 @@ def exact_det(entries):
     return total
 
 
-def minor_rank(m: ExactMatrix) -> int:
+def minor_rank(m: DenseTensor) -> int:
     """Largest size of a nonsingular square submatrix (brute force)."""
-    grid = [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    grid = [[m.entry((i, j)) for j in range(m.cols)] for i in range(m.rows)]
     best = 0
     for size in range(1, min(m.rows, m.cols) + 1):
         found = False
@@ -77,30 +77,30 @@ def minor_rank(m: ExactMatrix) -> int:
     return best
 
 
-def identity(n: int) -> ExactMatrix:
-    return ExactMatrix(n, n, [EC_ONE if i == j else EC_ZERO
-                              for i in range(n) for j in range(n)])
+def identity(n: int) -> DenseTensor:
+    return DenseTensor((n, n), [EC_ONE if i == j else EC_ZERO
+                                for i in range(n) for j in range(n)])
 
 
-def zero_matrix(rows: int, cols: int) -> ExactMatrix:
-    return ExactMatrix(rows, cols, [EC_ZERO] * (rows * cols))
+def zero_matrix(rows: int, cols: int) -> DenseTensor:
+    return DenseTensor((rows, cols), [EC_ZERO] * (rows * cols))
 
 
-def transpose(m: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(m.cols, m.rows,
-                       [m.entry(i, j) for j in range(m.cols) for i in range(m.rows)])
+def transpose(m: DenseTensor) -> DenseTensor:
+    return DenseTensor((m.cols, m.rows),
+                       [m.entry((i, j)) for j in range(m.cols) for i in range(m.rows)])
 
 
-def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     assert a.cols == b.rows, "inner dimensions disagree"
     out = []
     for i in range(a.rows):
         for j in range(b.cols):
             acc = EC_ZERO
             for t in range(a.cols):
-                acc = acc + a.entry(i, t) * b.entry(t, j)
+                acc = acc + a.entry((i, t)) * b.entry((t, j))
             out.append(acc)
-    return ExactMatrix(a.rows, b.cols, out)
+    return DenseTensor((a.rows, b.cols), out)
 
 
 def zero_tensor(dims) -> DenseTensor:
@@ -131,9 +131,8 @@ def superdiagonal(side: int, diag, order: int) -> DenseTensor:
     return DenseTensor(dims, entries)
 
 
-def read_mat(path) -> ExactMatrix:
+def read_mat(path) -> DenseTensor:
     """Parse the exact ``.mat`` format that ``unfold`` writes."""
     head, *body = Path(path).read_text().splitlines()
-    rows, cols = (int(tok) for tok in head.split())
-    return ExactMatrix(rows, cols, [parse_exact_scalar(tok)
-                                    for line in body for tok in line.split()])
+    return DenseTensor([int(tok) for tok in head.split()],
+                       [parse_exact_scalar(tok) for line in body for tok in line.split()])

@@ -151,6 +151,44 @@ def test_malformed_dec_is_usage_error(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("tsr, dec, line", [
+    # a repeated index would overwrite the first entry
+    ("order 2\n2 2\n0 0 1/1 0/1\n0 0 2/1 0/1\n", None, 4),
+    ("order 3\n2 2 2\n0 0 0 1/1 0/1\n", "3 2 2 2 -1\n", 1),
+], ids=["tsr-duplicate-index", "dec-negative-term-count"])
+def test_malformed_tsr_or_dec_names_its_line(tmp_path, capsys, tsr, dec, line):
+    args = ["rank", "--tsr", str(tmp_path / "t.tsr"), "--out", str(tmp_path)]
+    (tmp_path / "t.tsr").write_text(tsr)
+    if dec is not None:
+        (tmp_path / "t.dec").write_text(dec)
+        args += ["--dec", str(tmp_path / "t.dec")]
+    assert cli.main(args) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: line {line}: ")
+
+
+@pytest.mark.parametrize("dims, turn, line", [
+    ("dims 0 2", "turn 1 flip-channel", 4),
+    ("dims -1 2", "turn 1 flip-channel", 4),
+    ("dims 2 2", "turn 1 store 0", 5),
+    ("dims 2 2", "turn 1 cnot-channel 0", 5),
+    ("dims 2 2", "turn 1 matrix 1+0i 0+0i ; 1+0i", 5),
+    ("dims 3 2", "turn 1 store 1", 5),
+    ("dims 2 2", "turn 1 store 3", 5),
+    ("dims 2 2", "turn 1 write-bit 2", 5),
+    ("dims 2 2", "turn 1 compare-and-flag", 5),
+    # a control qubit the player does not have
+    ("dims 2 2", "turn 1 cnot-channel 2", 5),
+], ids=["zero-dim", "negative-dim", "store-slot-0", "cnot-slot-0", "ragged-matrix",
+        "store-on-dim-3", "store-slot-3", "write-bit-2", "compare-and-flag-dim-2",
+        "cnot-slot-2"])
+def test_malformed_scenario_names_its_line(tmp_path, capsys, dims, turn, line):
+    scn = tmp_path / "s.scn"
+    scn.write_text(f"mode nih\nplayers 2\nbits 1\n{dims}\n{turn}\n")
+    assert cli.main(["nih-extract", "--scenario", str(scn), "--function", "const1",
+                     "--n", "1", "--k", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: line {line}: ")
+
+
 def test_unknown_function_is_usage_error(tmp_path):
     res = run_cli("build", "--function", "nope", "--out", str(tmp_path))
     assert res.returncode == 2
@@ -184,6 +222,7 @@ def test_out_of_range_option_is_usage_error(tmp_path, args):
     ("verify-all", "--k", "4"),
     ("rank", "--tsr", "missing.tsr"),
     ("rank", "--function", "eq", "--n", "9", "--k", "3"),
+    ("protocol", "nof", "--function", "eq", "--n", "1", "--k", "3", "--input", "1,1"),
 ])
 def test_bad_arity_range_or_file_is_usage_error(tmp_path, args):
     res = run_cli(*args, "--out", str(tmp_path), cwd=tmp_path)

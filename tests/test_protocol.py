@@ -63,7 +63,6 @@ def test_zero_turn_protocol():
     b = simulate_branches(spec, (0, 1))
     assert set(b.branches) == {()}
     assert b.ell == 0
-    assert abs(b.total_sq_norm() - 1.0) < 1e-12
     for v in b.branches[()]:
         assert np.array_equal(v, [1.0, 0.0])
     assert b.accept_probability() == 0.0
@@ -658,7 +657,7 @@ def test_scenario_matrix_literal(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     spec = read_scenario(path)
     b = simulate_branches(spec, (0, 0))
-    assert abs(b.total_sq_norm() - 1.0) < 1e-12
+    assert abs(b.norm_history[-1] - 1.0) < 1e-12
     assert abs(b.accept_probability() - 0.5) < 1e-12
 
 

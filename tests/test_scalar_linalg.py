@@ -13,7 +13,6 @@ from nqtensor.scalar_linalg import (
     EC_ONE,
     EC_ZERO,
     ExactComplex,
-    ExactMatrix,
     FloatMatrix,
     exact,
     exact_rank,
@@ -23,6 +22,7 @@ from nqtensor.scalar_linalg import (
     to_float,
     write_mat,
 )
+from nqtensor.tensor_core import DenseTensor
 
 # ---------------------------------------------------------------------------
 # ExactComplex
@@ -125,7 +125,7 @@ def test_rank_matches_minor_oracle_on_seeded_matrices():
     for _ in range(30):
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
-        m = ExactMatrix(rows, cols, [
+        m = DenseTensor((rows, cols), [
             exact(rng.randint(-2, 2), rng.randint(-1, 1))
             for _ in range(rows * cols)
         ])
@@ -140,7 +140,7 @@ def small_matrix(draw, max_side=4):
     rows = draw(st.integers(1, max_side))
     cols = draw(st.integers(1, max_side))
     vals = draw(st.lists(small_entries, min_size=rows * cols, max_size=rows * cols))
-    return ExactMatrix(rows, cols, [exact(v) for v in vals])
+    return DenseTensor((rows, cols), [exact(v) for v in vals])
 
 
 @seed(7)
@@ -181,15 +181,15 @@ sparse_entries = st.one_of(st.just(EC_ZERO), st.just(EC_ZERO), mixed_entries)
 
 def _gaussian_grid(draw, rows, cols, entries=gaussian_rationals):
     vals = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
-    return ExactMatrix(rows, cols, vals)
+    return DenseTensor((rows, cols), vals)
 
 
 def _from_columns(rows, columns):
-    return ExactMatrix(rows, len(columns), [c[i] for i in range(rows) for c in columns])
+    return DenseTensor((rows, len(columns)), [c[i] for i in range(rows) for c in columns])
 
 
 def _columns(m):
-    return [[m.entry(i, j) for i in range(m.rows)] for j in range(m.cols)]
+    return [[m.entry((i, j)) for i in range(m.rows)] for j in range(m.cols)]
 
 
 @st.composite
@@ -213,8 +213,8 @@ def gaussian_rational_matrix(draw, max_side=5):
         m = _gaussian_grid(draw, rows, cols, sparse_entries)
         zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
         zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
-        return ExactMatrix(rows, cols, [
-            EC_ZERO if i in zero_rows or j in zero_cols else m.entry(i, j)
+        return DenseTensor((rows, cols), [
+            EC_ZERO if i in zero_rows or j in zero_cols else m.entry((i, j))
             for i in range(rows) for j in range(cols)])
     if kind == "dense" or rows == 1:
         return _gaussian_grid(draw, rows, cols)
@@ -320,19 +320,19 @@ def test_to_float_identity_exact():
 
 
 def test_to_float_dyadic_exact():
-    m = ExactMatrix(1, 1, [exact(Fraction(1, 2), Fraction(1, 4))])
+    m = DenseTensor((1, 1), [exact(Fraction(1, 2), Fraction(1, 4))])
     f = to_float(m)
     assert f.array[0, 0] == 0.5 + 0.25j
 
 
 def test_to_float_third_rounding_bound():
-    m = ExactMatrix(1, 1, [exact(Fraction(1, 3))])
+    m = DenseTensor((1, 1), [exact(Fraction(1, 3))])
     f = to_float(m)
     assert abs(f.array[0, 0].real - 1 / 3) < 1e-16
 
 
 def test_to_float_overflow():
-    m = ExactMatrix(1, 1, [exact(10 ** 400)])
+    m = DenseTensor((1, 1), [exact(10 ** 400)])
     with pytest.raises(OverflowError):
         to_float(m)
 
@@ -348,10 +348,8 @@ def test_float_matrix_rejects_nonfinite():
 
 
 def test_mat_roundtrip_exact(tmp_path):
-    m = ExactMatrix.from_rows([
-        [exact(Fraction(1, 2), Fraction(-3, 4)), exact(0)],
-        [exact(-2), exact(Fraction(5, 7), Fraction(1, 1))],
-    ])
+    m = DenseTensor((2, 2), [exact(Fraction(1, 2), Fraction(-3, 4)), exact(0),
+                             exact(-2), exact(Fraction(5, 7), Fraction(1, 1))])
     path = tmp_path / "m.mat"
     write_mat(path, m)
     back = read_mat(path)
@@ -360,4 +358,4 @@ def test_mat_roundtrip_exact(tmp_path):
 
 def test_entry_count_validation():
     with pytest.raises(DimMismatch):
-        ExactMatrix(2, 2, [EC_ZERO] * 3)
+        DenseTensor((2, 2), [EC_ZERO] * 3)

@@ -187,14 +187,14 @@ def test_sections_read_the_entry_at_each_index(case):
     da, db = dims[mode_a - 1], dims[mode_b - 1]
     sl = tensor_slice(t, mode_a, mode_b, fixed)
     assert (sl.rows, sl.cols) == (da, db)
-    assert all(sl.entry(i, j) == label_at((mode_a, i), (mode_b, j))
+    assert all(sl.entry((i, j)) == label_at((mode_a, i), (mode_b, j))
                for i in range(da) for j in range(db))
     for mode in range(1, len(dims) + 1):
         rest = [m for m in range(1, len(dims) + 1) if m != mode]
         cols = list(product(*(range(dims[m - 1]) for m in rest)))
         u = unfold(t, mode)
         assert (u.rows, u.cols) == (dims[mode - 1], len(cols))
-        assert all(u.entry(i, c) == label_at((mode, i), *zip(rest, rest_idx))
+        assert all(u.entry((i, c)) == label_at((mode, i), *zip(rest, rest_idx))
                    for i in range(dims[mode - 1]) for c, rest_idx in enumerate(cols))
 
 
@@ -206,7 +206,7 @@ def test_sections_read_the_entry_at_each_index(case):
 def test_unfold_superdiagonal_columns():
     t = superdiagonal(2, [1, 1], 3)
     m = unfold(t, 1)
-    cols = [tuple(m.entry(i, j) for i in range(2)) for j in range(4)]
+    cols = [tuple(m.entry((i, j)) for i in range(2)) for j in range(4)]
     assert cols == [
         (EC_ONE, EC_ZERO),
         (EC_ZERO, EC_ZERO),
@@ -225,7 +225,7 @@ def test_unfold_gip_n1_k3_mode1():
     t = canonical_tensor(gip(1, 3))
     m = unfold(t, 1)
     assert (m.rows, m.cols) == (2, 4)
-    nonzero = [(i, j) for i in range(2) for j in range(4) if not m.entry(i, j).is_zero()]
+    nonzero = [(i, j) for i in range(2) for j in range(4) if not m.entry((i, j)).is_zero()]
     assert nonzero == [(1, 3)]  # the (1, (1,1)) column
     assert exact_rank(m) == minor_rank(m) == 1
 
@@ -241,7 +241,7 @@ def test_group_matrize_order2_is_itself():
 def test_group_matrize_superdiagonal_order4():
     t = superdiagonal(2, [1, 1], 4)
     m = group_matrize(t, 2)
-    nonzero = [(i, j) for i in range(4) for j in range(4) if not m.entry(i, j).is_zero()]
+    nonzero = [(i, j) for i in range(4) for j in range(4) if not m.entry((i, j)).is_zero()]
     assert nonzero == [(0, 0), (3, 3)]
 
 

@@ -1,11 +1,16 @@
 """The per-layer benchmark tracer (``perfbench/tracer.py``) wraps package
-functions by name; a name deleted or renamed in the package breaks
-``perfbench/run.py --trace 1``.  This checks every wrapped name still
-resolves, without installing the tracer."""
+functions by name and reads attributes of their arguments; a name or
+attribute deleted or renamed in the package breaks
+``perfbench/run.py --trace 1``.  These check that every wrapped name still
+resolves and that the count functions read real arguments, without
+installing the tracer."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from nqtensor.functions import canonical_tensor, eq_nondet_decomposition, equality
+from nqtensor.tensor_core import unfold
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -29,3 +34,13 @@ def test_every_traced_name_resolves():
         if not callable(getattr(owner, method, None)):
             missing.append(f"nqtensor.{module}.{cls}.{method}")
     assert missing == []
+
+
+def test_counts_read_real_arguments():
+    counts = {(module, attr): fn for module, attr, _, fn in _load_tracer().WRAPPED}
+    # rows * cols of the 2 x 4 mode-1 unfolding of eq at n = 1, k = 3
+    m = unfold(canonical_tensor(equality(1, 3)), 1)
+    assert counts["scalar_linalg", "exact_rank"]((m,), {}, 2) == {"entries": 8}
+    # term_count * prod(dims) of its 2-term witness over dims (2, 2, 2)
+    d = eq_nondet_decomposition(1, 3)
+    assert counts["tensor_core", "materialize"]((d,), {}, None) == {"term_entries": 16}
