@@ -43,7 +43,6 @@ from .rank_bounds import (
 )
 from .scalar_linalg import (
     ExactComplex,
-    FloatMatrix,
     exact,
     exact_rank,
     svd,

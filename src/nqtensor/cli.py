@@ -217,6 +217,9 @@ def cmd_nih_extract(args) -> int:
     if args.scenario:
         spec = read_scenario(args.scenario)
         f = _load_function(args)
+        if (spec.k, spec.n) != (f.k, f.n):
+            raise UsageError(f"scenario has players {spec.k}, bits {spec.n} but "
+                             f"function {f.name} has k {f.k}, n {f.n}")
     elif args.truth_table:
         raise UsageError("nih-extract needs --scenario for a --truth-table function")
     elif args.function == "eq":

@@ -57,7 +57,6 @@ from .rank_bounds import pattern_check
 from .scalar_linalg import (
     EC_ONE,
     EC_ZERO,
-    FloatMatrix,
     exact_rank,
     numerical_rank,
     parse_float_scalar,
@@ -215,6 +214,14 @@ class Turn:
         return getattr(self.make, "label", "custom")
 
 
+def _check_turn(mode: str, k: int, t: Turn) -> None:
+    """Raise unless ``t`` can run in a ``mode`` protocol of ``k`` players."""
+    if not 1 <= t.player <= k:
+        raise DimMismatch(f"turn player {t.player} out of range")
+    if mode == "nof" and getattr(t.make, "nih_only", False):
+        raise ValueError(f"generator {t.label!r} reads its own input; NIH only")
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     mode: str  # "nih" | "nof"
@@ -229,10 +236,7 @@ class ProtocolSpec:
         if len(self.player_dims) != self.k:
             raise DimMismatch("need one dimension per player")
         for t in self.turns:
-            if not 1 <= t.player <= self.k:
-                raise DimMismatch(f"turn player {t.player} out of range")
-            if self.mode == "nof" and getattr(t.make, "nih_only", False):
-                raise ValueError(f"generator {t.label!r} reads its own input; NIH only")
+            _check_turn(self.mode, self.k, t)
 
     @property
     def ell(self) -> int:
@@ -496,8 +500,7 @@ def read_scenario(path) -> ProtocolSpec:
     """
     with open(path) as fh:
         raw = fh.read().splitlines()
-    mode = k = n = None
-    dims = None
+    mode = k = n = dims = dims_line = None
     turn_lines = []
     for off, line in enumerate(raw):
         lineno = off + 1
@@ -521,6 +524,7 @@ def read_scenario(path) -> ProtocolSpec:
                 raise FormatError("dims must be integers", lineno) from None
             if any(d < 1 for d in dims):
                 raise FormatError("dims must be positive", lineno)
+            dims_line = lineno
         elif key == "turn":
             turn_lines.append((lineno, toks[1:]))
         else:
@@ -529,7 +533,7 @@ def read_scenario(path) -> ProtocolSpec:
         if val is None:
             raise FormatError(f"missing {name} directive", len(raw) or 1)
     if len(dims) != k:
-        raise FormatError("dims count must equal players", 1)
+        raise FormatError("dims count must equal players", dims_line)
     turns = []
     for lineno, toks in turn_lines:
         if len(toks) < 2:
@@ -544,18 +548,18 @@ def read_scenario(path) -> ProtocolSpec:
         if gname not in _GENERATOR_PARSERS:
             known = ", ".join(sorted(_GENERATOR_PARSERS))
             raise FormatError(f"unknown generator {gname!r}; known: {known}", lineno)
+        parse = _GENERATOR_PARSERS[gname]
         try:
-            make = _GENERATOR_PARSERS[gname](dims[player - 1], n, toks[2:], lineno)
+            turn = Turn(player, parse(dims[player - 1], n, toks[2:], lineno))
+            _check_turn(mode, k, turn)
         except (DimMismatch, ValueError) as exc:
-            # a generator that cannot act on this player is a malformed line
+            # a generator that cannot act on this player, or in this mode,
+            # is a malformed line
             raise FormatError(str(exc), lineno) from None
-        turns.append(Turn(player, make))
+        turns.append(turn)
     if not turns:
         raise FormatError("scenario has no turns", len(raw) or 1)
-    try:
-        return ProtocolSpec(mode, k, n, dims, tuple(turns))
-    except ValueError as exc:
-        raise FormatError(str(exc), 1) from None
+    return ProtocolSpec(mode, k, n, dims, tuple(turns))
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +571,19 @@ def read_scenario(path) -> ProtocolSpec:
 LIFT_LENGTH = 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NofProtocol:
-    """Compiled SVD protocol for one nondeterministic tensor."""
+    """Compiled SVD protocol for one nondeterministic tensor.
+
+    ``u``, ``sigma`` and ``v`` are the read-only factors :func:`svd` returns.
+    """
 
     f: BooleanFunction
     lifted: bool
     split: int
-    u: FloatMatrix
-    sigma: tuple
-    v: FloatMatrix
+    u: np.ndarray
+    sigma: np.ndarray
+    v: np.ndarray
     r: int
     qubit_cost: int
     exact_tensor: DenseTensor = field(repr=False)
@@ -615,7 +622,7 @@ def build_nof_protocol(d: Decomposition, f: BooleanFunction) -> NofProtocol:
         lifted=lifted,
         split=split,
         u=u,
-        sigma=tuple(float(x) for x in s),
+        sigma=s,
         v=v,
         r=r,
         qubit_cost=q + 1,
@@ -640,8 +647,7 @@ def run_nof(p: NofProtocol, xs, dummy: int = 0) -> AcceptanceResult:
     row = flat_offset(p.work_dims[:p.split], work[:p.split])
     col = flat_offset(p.work_dims[p.split:], work[p.split:])
 
-    sigma = np.array(p.sigma)
-    phi = sigma[:p.r] * p.v.array[:p.r, col]
+    phi = p.sigma[:p.r] * p.v[:p.r, col]
     norm = float(np.linalg.norm(phi))
     if norm == 0.0:
         if _column_has_one_input(p, xs):
@@ -650,7 +656,7 @@ def run_nof(p: NofProtocol, xs, dummy: int = 0) -> AcceptanceResult:
             )
         return AcceptanceResult(0.0, False, p.qubit_cost, 0.0)
     c = 1.0 / norm
-    amp = p.u.array[row, :p.r] @ (phi * c)
+    amp = p.u[row, :p.r] @ (phi * c)
     prob = float(abs(amp) ** 2)
     analytic = float(p.exact_tensor.entry(xs).abs2()) * c * c
     return AcceptanceResult(prob, prob > config.ACCEPT_EPS, p.qubit_cost, analytic)
@@ -843,7 +849,7 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
     coeff = coefficient_search(families, ones, set_size_exponent, rng_seed)
     grouped = coeff.grouped
     pattern_ok = bool(np.array_equal(np.abs(grouped) > config.ACCEPT_EPS, ones))
-    grouped_rank = numerical_rank(svd(FloatMatrix(grouped))[1], grouped.shape)
+    grouped_rank = numerical_rank(svd(grouped)[1], grouped.shape)
     pattern_rank = exact_rank(DenseTensor(ones.shape, [EC_ONE if v else EC_ZERO
                                                        for v in ones.flat]))
     implied = (math.ceil(math.log2(pattern_rank)) + 1) if pattern_rank >= 1 else 0

@@ -1,4 +1,4 @@
-"""Exact scalars, float matrices, exact rank, SVD and the ``.mat`` writer.
+"""Exact scalars, exact rank, SVD and the ``.mat`` writer.
 
 Two parallel scalar worlds are kept deliberately separate:
 
@@ -15,13 +15,14 @@ Two parallel scalar worlds are kept deliberately separate:
 * floating complex — plain ``complex`` / ``numpy.complex128``, used for SVD,
   protocol simulation, and the numerical rank (:func:`numerical_rank`) of
   matrices built from simulated states, where a numerical kernel is the
-  right tool.
+  right tool.  A float matrix is a plain 2-D complex128 ``ndarray``:
+  :func:`to_float` makes one from an exact matrix, and :func:`svd` checks
+  that its entries are finite and returns read-only factors.
 
-A :class:`FloatMatrix` holds finite complex128 entries, read-only.  An exact
-matrix is written to the ``.mat`` text format, whose ``p/q`` rational tokens
-(:func:`format_rational`, :func:`parse_rational`) the ``.tsr`` and ``.dec``
-formats share.  All values are immutable after construction and safe to share
-across workers.
+An exact matrix is written to the ``.mat`` text format, whose ``p/q``
+rational tokens (:func:`format_rational`, :func:`parse_rational`) the ``.tsr``
+and ``.dec`` formats share.  Exact values are immutable after construction
+and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimMismatch, FormatError
+from .errors import ConvergenceFailure, FormatError
 
 if TYPE_CHECKING:  # tensor_core imports this module at run time
     from .tensor_core import DenseTensor
@@ -130,37 +131,6 @@ def coerce_exact(v) -> ExactComplex:
 
 
 # ---------------------------------------------------------------------------
-# Float matrices
-# ---------------------------------------------------------------------------
-
-
-class FloatMatrix:
-    """Immutable complex128 matrix; entries must be finite."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array):
-        arr = np.array(array, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise DimMismatch("FloatMatrix needs a 2-D array")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("FloatMatrix entries must be finite")
-        arr.setflags(write=False)
-        self.array = arr
-
-    @property
-    def rows(self) -> int:
-        return self.array.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.array.shape[1]
-
-    def __repr__(self):
-        return f"FloatMatrix({self.rows}x{self.cols})"
-
-
-# ---------------------------------------------------------------------------
 # Rank over the exact field
 # ---------------------------------------------------------------------------
 
@@ -231,30 +201,31 @@ def _gaussian_integer_row(row) -> list:
 # ---------------------------------------------------------------------------
 
 
-def svd(m: FloatMatrix):
+def svd(m: np.ndarray):
     """Singular value decomposition m = u @ diag_rect(sigma) @ v.
 
-    Returns square unitary factors (full matrices) and ``sigma`` sorted
-    descending.  The LAPACK kernel's internal iteration cap is surfaced as
-    :class:`ConvergenceFailure`.
+    ``m`` is a complex128 matrix whose entries must be finite, else
+    ``ValueError``: LAPACK returns NaN factors for an ``inf`` entry instead of
+    failing.  Returns read-only square unitary factors (full matrices) and
+    ``sigma`` sorted descending.  The LAPACK kernel's internal iteration cap
+    is surfaced as :class:`ConvergenceFailure`.
     """
+    if not np.isfinite(m).all():
+        raise ValueError("svd needs finite entries")
     try:
-        u, s, vh = np.linalg.svd(m.array, full_matrices=True)
+        u, s, vh = np.linalg.svd(m, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    return FloatMatrix(u), s, FloatMatrix(vh)
-
-
-def singular_value_threshold(sigma, shape) -> float:
-    """Zero cutoff: max(rows, cols) * eps * sigma_max."""
-    if len(sigma) == 0:
-        return 0.0
-    return max(shape) * np.finfo(np.float64).eps * float(sigma[0])
+    for a in (u, s, vh):
+        a.flags.writeable = False
+    return u, s, vh
 
 
 def numerical_rank(sigma, shape) -> int:
-    """Number of singular values above the zero cutoff."""
-    thr = singular_value_threshold(sigma, shape)
+    """Number of singular values above max(rows, cols) * eps * sigma_max."""
+    if len(sigma) == 0:
+        return 0
+    thr = max(shape) * np.finfo(np.float64).eps * float(sigma[0])
     return int(np.sum(np.asarray(sigma) > thr))
 
 
@@ -263,13 +234,14 @@ def numerical_rank(sigma, shape) -> int:
 # ---------------------------------------------------------------------------
 
 
-def to_float(m: DenseTensor) -> FloatMatrix:
-    """Entrywise nearest-binary64 image of an exact order-2 tensor.
+def to_float(m: DenseTensor) -> np.ndarray:
+    """Entrywise nearest-binary64 image of an exact order-2 tensor, as a
+    complex128 array.
 
     Raises ``OverflowError`` when a magnitude exceeds the binary64 range.
     """
-    return FloatMatrix(np.array([complex(e) for e in m.entries],
-                                dtype=np.complex128).reshape(m.rows, m.cols))
+    return np.array([complex(e) for e in m.entries],
+                    dtype=np.complex128).reshape(m.rows, m.cols)
 
 
 # ---------------------------------------------------------------------------

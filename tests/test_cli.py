@@ -166,27 +166,40 @@ def test_malformed_tsr_or_dec_names_its_line(tmp_path, capsys, tsr, dec, line):
     assert capsys.readouterr().err.startswith(f"usage error: line {line}: ")
 
 
-@pytest.mark.parametrize("dims, turn, line", [
-    ("dims 0 2", "turn 1 flip-channel", 4),
-    ("dims -1 2", "turn 1 flip-channel", 4),
-    ("dims 2 2", "turn 1 store 0", 5),
-    ("dims 2 2", "turn 1 cnot-channel 0", 5),
-    ("dims 2 2", "turn 1 matrix 1+0i 0+0i ; 1+0i", 5),
-    ("dims 3 2", "turn 1 store 1", 5),
-    ("dims 2 2", "turn 1 store 3", 5),
-    ("dims 2 2", "turn 1 write-bit 2", 5),
-    ("dims 2 2", "turn 1 compare-and-flag", 5),
+@pytest.mark.parametrize("mode, dims, turn, line", [
+    ("nih", "dims 0 2", "turn 1 flip-channel", 4),
+    ("nih", "dims -1 2", "turn 1 flip-channel", 4),
+    ("nih", "dims 2 2", "turn 1 store 0", 5),
+    ("nih", "dims 2 2", "turn 1 cnot-channel 0", 5),
+    ("nih", "dims 2 2", "turn 1 matrix 1+0i 0+0i ; 1+0i", 5),
+    ("nih", "dims 3 2", "turn 1 store 1", 5),
+    ("nih", "dims 2 2", "turn 1 store 3", 5),
+    ("nih", "dims 2 2", "turn 1 write-bit 2", 5),
+    ("nih", "dims 2 2", "turn 1 compare-and-flag", 5),
     # a control qubit the player does not have
-    ("dims 2 2", "turn 1 cnot-channel 2", 5),
+    ("nih", "dims 2 2", "turn 1 cnot-channel 2", 5),
+    ("nih", "dims 2 2 2", "turn 1 flip-channel", 4),
+    # write-bit reads the player's own input, which a NOF player cannot see
+    ("nof", "dims 2 2", "turn 1 write-bit 1", 5),
 ], ids=["zero-dim", "negative-dim", "store-slot-0", "cnot-slot-0", "ragged-matrix",
         "store-on-dim-3", "store-slot-3", "write-bit-2", "compare-and-flag-dim-2",
-        "cnot-slot-2"])
-def test_malformed_scenario_names_its_line(tmp_path, capsys, dims, turn, line):
+        "cnot-slot-2", "dims-count", "nih-only-generator-in-nof"])
+def test_malformed_scenario_names_its_line(tmp_path, capsys, mode, dims, turn, line):
     scn = tmp_path / "s.scn"
-    scn.write_text(f"mode nih\nplayers 2\nbits 1\n{dims}\n{turn}\n")
+    scn.write_text(f"mode {mode}\nplayers 2\nbits 1\n{dims}\n{turn}\n")
     assert cli.main(["nih-extract", "--scenario", str(scn), "--function", "const1",
                      "--n", "1", "--k", "2", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"usage error: line {line}: ")
+
+
+def test_scenario_shape_disagreeing_with_function_is_usage_error(tmp_path, capsys):
+    scn = tmp_path / "s.scn"
+    scn.write_text("mode nih\nplayers 2\nbits 1\ndims 2 2\nturn 1 flip-channel\n")
+    assert cli.main(["nih-extract", "--scenario", str(scn), "--function", "const1",
+                     "--n", "2", "--k", "2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert "players 2, bits 1" in err and "k 2, n 2" in err
 
 
 def test_unknown_function_is_usage_error(tmp_path):

@@ -4,8 +4,9 @@ The commands are the README's command list (plus the hamming build/rank round
 trip).  They run in-process from a scratch directory with relative ``--out``
 directories, so the paths printed inside the reports are stable.  Every file
 under ``tests/golden/`` must match the file the commands wrote at the same
-relative path, byte for byte.  Rows that print SVD-derived floats are dropped
-from both sides first: their last digits depend on the BLAS build.
+relative path, byte for byte.  Rows that print SVD- or simulation-derived
+floats (those whose quantity ends with a ``FLOAT_ROWS`` name) are dropped from
+both sides first: their last digits depend on the BLAS build.
 """
 
 import contextlib
@@ -18,13 +19,12 @@ from nqtensor import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
-FLOAT_ROWS = {
+FLOAT_ROWS = (
     "probability",
-    "analytic_probability",
-    "min_accept_probability",
-    "max_reject_probability",
     "max_sim_analytic_gap",
-}
+    "branch_vs_dense_max_gap",
+    "branch_norm_max_drift",
+)
 
 RELAY = (
     "mode nih\nplayers 3\nbits 1\ndims 2 2 4\n"
@@ -49,6 +49,7 @@ COMMANDS = (
     ("out", "build --function hamming_neq1 --n 2 --k 3"),
     ("out", "rank --function hamming_neq1 --n 2 --k 3"),
     ("rt", "rank --tsr out/hamming_neq1_2_3.tsr --dec out/hamming_neq1_2_3.dec"),
+    ("out", "verify-all --seed 1"),
 )
 
 
@@ -57,7 +58,8 @@ def _comparable(path: Path) -> bytes:
     if path.suffix != ".tsv":
         return data
     lines = data.decode().splitlines(keepends=True)
-    return "".join(l for l in lines if l.split("\t", 1)[0] not in FLOAT_ROWS).encode()
+    return "".join(l for l in lines
+                   if not l.split("\t", 1)[0].endswith(FLOAT_ROWS)).encode()
 
 
 @pytest.fixture(scope="module")

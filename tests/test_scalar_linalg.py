@@ -13,7 +13,6 @@ from nqtensor.scalar_linalg import (
     EC_ONE,
     EC_ZERO,
     ExactComplex,
-    FloatMatrix,
     exact,
     exact_rank,
     numerical_rank,
@@ -251,13 +250,13 @@ def test_rank_ignores_zero_repeated_and_permuted_columns(m, data):
 
 
 def test_svd_diagonal():
-    m = FloatMatrix([[2.0, 0.0], [0.0, 1.0]])
+    m = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
     _, s, _ = svd(m)
     assert np.allclose(s, [2.0, 1.0])
 
 
 def test_svd_rank_one():
-    m = FloatMatrix(np.outer([1.0, 1.0], [1.0, -1.0]))
+    m = np.outer([1.0, 1.0], [1.0, -1.0]).astype(np.complex128)
     _, s, _ = svd(m)
     thr_count = numerical_rank(s, (2, 2))
     assert thr_count == 1
@@ -296,13 +295,25 @@ def test_svd_reconstruction_and_unitarity_on_random_matrices():
     rng = np.random.default_rng(12345)
     for _ in range(100):
         arr = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        m = FloatMatrix(arr)
-        u, s, v = svd(m)
+        u, s, v = svd(arr)
         fro = float(np.linalg.norm(arr))
-        assert np.linalg.norm(u.array @ np.diag(s) @ v.array - arr) <= 1e-10 * fro
-        assert unitarity_defect(u.array) <= 1e-10
-        assert unitarity_defect(v.array) <= 1e-10
+        assert np.linalg.norm(u @ np.diag(s) @ v - arr) <= 1e-10 * fro
+        assert unitarity_defect(u) <= 1e-10
+        assert unitarity_defect(v) <= 1e-10
         assert all(s[i] >= s[i + 1] for i in range(len(s) - 1))
+
+
+def test_svd_factors_are_read_only():
+    for factor in svd(np.eye(2, dtype=np.complex128)):
+        with pytest.raises(ValueError):
+            factor[0] = 0.0
+
+
+def test_svd_rejects_nonfinite():
+    # LAPACK itself returns NaN factors for an inf entry instead of failing
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        with pytest.raises(ValueError):
+            svd(np.array([[bad, 0.0], [0.0, 1.0]], dtype=np.complex128))
 
 
 def test_convergence_failure_is_exposed():
@@ -316,30 +327,25 @@ def test_convergence_failure_is_exposed():
 
 def test_to_float_identity_exact():
     f = to_float(identity(3))
-    assert np.array_equal(f.array, np.eye(3))
+    assert np.array_equal(f, np.eye(3))
 
 
 def test_to_float_dyadic_exact():
     m = DenseTensor((1, 1), [exact(Fraction(1, 2), Fraction(1, 4))])
     f = to_float(m)
-    assert f.array[0, 0] == 0.5 + 0.25j
+    assert f[0, 0] == 0.5 + 0.25j
 
 
 def test_to_float_third_rounding_bound():
     m = DenseTensor((1, 1), [exact(Fraction(1, 3))])
     f = to_float(m)
-    assert abs(f.array[0, 0].real - 1 / 3) < 1e-16
+    assert abs(f[0, 0].real - 1 / 3) < 1e-16
 
 
 def test_to_float_overflow():
     m = DenseTensor((1, 1), [exact(10 ** 400)])
     with pytest.raises(OverflowError):
         to_float(m)
-
-
-def test_float_matrix_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        FloatMatrix([[np.nan, 0.0], [0.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
