@@ -171,9 +171,10 @@ def cmd_protocol(args) -> int:
         witnessed = " or ".join(sorted(name for name, fam in FAMILIES.items() if fam.witness))
         raise UsageError(f"no built-in decomposition for {f.name}; "
                          f"protocol commands need {witnessed}")
-    if not 0 <= args.lift_dummy < LIFT_LENGTH:
-        raise UsageError(f"--lift-dummy must be in 0..{LIFT_LENGTH - 1}")
     proto = build_nof_protocol(family.witness(f.n, f.k), f)
+    if not 0 <= args.lift_dummy < (LIFT_LENGTH if proto.lifted else 1):
+        raise UsageError(f"--lift-dummy must be in 0..{LIFT_LENGTH - 1} when k is odd, "
+                         "else 0")
     rows = [
         Row("numerical_rank", proto.r, "-", "derived", INFO),
         check_row("qubit_cost", proto.qubit_cost,
@@ -183,7 +184,7 @@ def cmd_protocol(args) -> int:
     ]
     stem = f"nof_{f.name}_{f.n}_{f.k}"
     if args.protocol_cmd == "sweep":
-        rep = strong_nondet_check(proto, f, dummy=args.lift_dummy)
+        rep = strong_nondet_check(proto, dummy=args.lift_dummy)
         rows += [
             check_row("sweep_decisions_ok", rep.passed, True, "derived"),
             Row("sweep_inputs", rep.total_inputs, "-", "direct", INFO),

@@ -22,7 +22,8 @@ Three views of a protocol live here:
   are folded with outer products, bit for bit what ``np.kron`` computes;
 * a dense statevector simulator used as an independent cross-check;
 * the SVD route: compress one grouped half of a nondeterministic tensor into
-  ceil(log2 r) qubits and read the acceptance amplitude off the factors.
+  ceil(log2 r) qubits and read the acceptance amplitude off the factors; a
+  column half with no 1-input rejects from the exact tensor, not a float norm.
 
 On top of the branch form sits the extraction pipeline: group the players
 into two halves, keep each input's accepted vector as a matrix over the two
@@ -36,7 +37,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -575,7 +575,8 @@ LIFT_LENGTH = 2
 class NofProtocol:
     """Compiled SVD protocol for one nondeterministic tensor.
 
-    ``u``, ``sigma`` and ``v`` are the read-only factors :func:`svd` returns.
+    ``u``, ``sigma`` and ``v`` are the read-only factors :func:`svd` returns;
+    ``live_columns`` marks the nonzero columns of the exact grouped matrix.
     """
 
     f: BooleanFunction
@@ -584,6 +585,7 @@ class NofProtocol:
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
+    live_columns: np.ndarray
     r: int
     qubit_cost: int
     exact_tensor: DenseTensor = field(repr=False)
@@ -594,7 +596,6 @@ class NofProtocol:
 class AcceptanceResult:
     probability: float
     accepted: bool
-    qubit_cost: int
     analytic_probability: float
 
 
@@ -617,6 +618,9 @@ def build_nof_protocol(d: Decomposition, f: BooleanFunction) -> NofProtocol:
     u, s, v = svd(to_float(g))
     r = numerical_rank(s, (g.rows, g.cols))
     q = math.ceil(math.log2(r)) if r >= 1 else 0
+    # pattern_check showed that these are the columns holding a 1-input
+    live = np.array([not e.is_zero() for e in g.entries]).reshape(g.rows, -1).any(axis=0)
+    live.flags.writeable = False
     return NofProtocol(
         f=f,
         lifted=lifted,
@@ -624,6 +628,7 @@ def build_nof_protocol(d: Decomposition, f: BooleanFunction) -> NofProtocol:
         u=u,
         sigma=s,
         v=v,
+        live_columns=live,
         r=r,
         qubit_cost=q + 1,
         exact_tensor=t,
@@ -634,41 +639,34 @@ def build_nof_protocol(d: Decomposition, f: BooleanFunction) -> NofProtocol:
 def run_nof(p: NofProtocol, xs, dummy: int = 0) -> AcceptanceResult:
     """Execute the protocol algebra on one input.
 
-    One side holds the trailing (column) half of the input and prepares the
-    compressed state sigma * V |column-half>, keeping only the r live
-    coordinates; the other side applies U and projects onto its own (row)
-    half.  The resulting probability is |c|^2 |T[x]|^2 for the normalization
-    c, which is also computed analytically from the exact tensor entry.
+    One side holds the trailing (column) half of the input.  A column
+    without a 1-input rejects with probability exactly 0, read off the exact
+    mask before any float work.  Otherwise that side prepares the compressed
+    state sigma * V |column-half>, keeping only the r live coordinates; the
+    other side applies U and projects onto its own (row) half.  The
+    resulting probability is |c|^2 |T[x]|^2 for the normalization c, which
+    is also computed analytically from the exact tensor entry; a vanishing
+    state on a live column raises ``NormalizationError``.  ``dummy`` indexes
+    the lifted mode and must be 0 on an unlifted protocol.
     """
     xs = p.f.check_input(xs)
-    work = xs + (dummy,) if p.lifted else xs
-    if p.lifted and not 0 <= dummy < LIFT_LENGTH:
+    if not 0 <= dummy < (LIFT_LENGTH if p.lifted else 1):
         raise ArityMismatch(f"dummy index {dummy} out of range")
+    work = xs + (dummy,) if p.lifted else xs
     row = flat_offset(p.work_dims[:p.split], work[:p.split])
     col = flat_offset(p.work_dims[p.split:], work[p.split:])
+    if not p.live_columns[col]:
+        return AcceptanceResult(0.0, False, 0.0)
 
     phi = p.sigma[:p.r] * p.v[:p.r, col]
     norm = float(np.linalg.norm(phi))
     if norm == 0.0:
-        if _column_has_one_input(p, xs):
-            raise NormalizationError(
-                "compressed state vanished although the column half has a 1-input"
-            )
-        return AcceptanceResult(0.0, False, p.qubit_cost, 0.0)
+        raise NormalizationError("compressed state vanished on a column with a 1-input")
     c = 1.0 / norm
     amp = p.u[row, :p.r] @ (phi * c)
     prob = float(abs(amp) ** 2)
     analytic = float(p.exact_tensor.entry(xs).abs2()) * c * c
-    return AcceptanceResult(prob, prob > config.ACCEPT_EPS, p.qubit_cost, analytic)
-
-
-def _column_has_one_input(p: NofProtocol, xs) -> bool:
-    side = p.f.side
-    fixed_tail = xs[p.split:]
-    for head in product(range(side), repeat=p.split):
-        if p.f.value(head + fixed_tail) == 1:
-            return True
-    return False
+    return AcceptanceResult(prob, prob > config.ACCEPT_EPS, analytic)
 
 
 @dataclass(frozen=True)
@@ -681,30 +679,26 @@ class SweepReport:
     wrong_decisions: tuple
 
 
-def strong_nondet_check(p: NofProtocol, f: BooleanFunction, dummy: int = 0) -> SweepReport:
-    """Exhaustive sweep: accepted iff f = 1, plus probability extremes."""
+def strong_nondet_check(p: NofProtocol, dummy: int = 0) -> SweepReport:
+    """Exhaustive sweep of ``p.f``: accepted iff f = 1, plus probability extremes."""
     min_accept = None
     max_reject = 0.0
     max_gap = 0.0
     wrong = []
-    total = 0
-    for xs, value in zip(f.inputs(), f.table()):
+    table = p.f.table()
+    for xs, value in zip(p.f.inputs(), table):
         res = run_nof(p, xs, dummy=dummy)
-        total += 1
-        gap = abs(res.probability - res.analytic_probability)
-        max_gap = max(max_gap, gap)
+        max_gap = max(max_gap, abs(res.probability - res.analytic_probability))
+        if res.accepted != (value == 1):
+            wrong.append(xs)
         if value == 1:
             if min_accept is None or res.probability < min_accept:
                 min_accept = res.probability
-            if not res.accepted:
-                wrong.append(xs)
         else:
             max_reject = max(max_reject, res.probability)
-            if res.accepted:
-                wrong.append(xs)
     return SweepReport(
         passed=not wrong,
-        total_inputs=total,
+        total_inputs=len(table),
         min_accept_probability=min_accept,
         max_reject_probability=max_reject,
         max_sim_analytic_gap=max_gap,

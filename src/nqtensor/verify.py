@@ -153,7 +153,7 @@ def criterion_nof_sweeps(seed) -> CriterionResult:
     rows = []
     for (name, n, k) in _SWEEP_CASES:
         f = from_name(name, n, k)
-        rep = strong_nondet_check(build_nof_protocol(FAMILIES[name].witness(n, k), f), f)
+        rep = strong_nondet_check(build_nof_protocol(FAMILIES[name].witness(n, k), f))
         tag = f"{name}_n{n}_k{k}"
         rows.append(check_row(f"{tag}_decisions_ok", rep.passed, True, "derived"))
         rows.append(bound_row(f"{tag}_min_accept_probability",

@@ -229,6 +229,8 @@ def test_out_of_range_option_is_usage_error(tmp_path, args):
     ("protocol", "nof", "--function", "eq", "--n", "1", "--k", "3", "--input", "1,1,1",
      "--lift-dummy", "2"),
     ("protocol", "sweep", "--function", "eq", "--n", "1", "--k", "3", "--lift-dummy", "-1"),
+    ("protocol", "nof", "--function", "eq", "--n", "1", "--k", "4", "--input", "0,0,0,0",
+     "--lift-dummy", "1"),
     ("gip-cert", "--k", "2"),
     ("verify-all", "--n", "2", "--k", "2"),
     ("verify-all", "--n", "3"),

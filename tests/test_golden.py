@@ -1,8 +1,9 @@
 """Byte-identity of CLI reports and artifacts against checked-in golden copies.
 
 The commands are the README's command list (plus the hamming build/rank round
-trip).  They run in-process from a scratch directory with relative ``--out``
-directories, so the paths printed inside the reports are stable.  Every file
+trip and an NOF query on a column without a 1-input).  They run in-process
+from a scratch directory with relative ``--out`` directories, so the paths
+printed inside the reports are stable.  Every file
 under ``tests/golden/`` must match the file the commands wrote at the same
 relative path, byte for byte.  Rows that print SVD- or simulation-derived
 floats (those whose quantity ends with a ``FLOAT_ROWS`` name) are dropped from
@@ -42,6 +43,7 @@ COMMANDS = (
     ("out", "unfold --function gip --n 2 --k 3 --mode 1"),
     ("out", "gip-cert --n 2 --k 3"),
     ("out", "protocol nof --function eq --n 1 --k 3 --input 0,1,0"),
+    ("out", "protocol nof --function eq --n 1 --k 4 --input 0,0,0,1"),
     ("out", "protocol sweep --function hamming_neq1 --n 2 --k 3"),
     ("out", "nih-extract --function eq --n 1 --k 3 --seed 7"),
     ("scn", "nih-extract --function eq --n 1 --k 3 --scenario relay.scn --seed 7"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from nqtensor import config
 from nqtensor.errors import (
     ArityMismatch,
     CoefficientNotFound,
@@ -22,6 +23,7 @@ from nqtensor.functions import (
     eq_nondet_decomposition,
     equality,
     gip,
+    gip_nondet_decomposition,
     hamming_neq1,
     hamming_nondet_decomposition,
 )
@@ -51,7 +53,7 @@ from nqtensor.protocol import (
     trivial_eq_relay_spec,
 )
 from nqtensor.scalar_linalg import exact
-from nqtensor.tensor_core import Decomposition
+from nqtensor.tensor_core import Decomposition, flat_offset
 
 # ---------------------------------------------------------------------------
 # branch-form simulation
@@ -392,7 +394,7 @@ def test_run_nof_probability_matches_analytic_everywhere():
 def test_sweep_hamming_matches_evaluator():
     f = hamming_neq1(2, 3)
     p = build_nof_protocol(hamming_nondet_decomposition(2, 3), f)
-    rep = strong_nondet_check(p, f)
+    rep = strong_nondet_check(p)
     assert rep.passed
     assert rep.max_reject_probability <= 1e-12
     assert rep.min_accept_probability > 1e-9
@@ -402,7 +404,7 @@ def test_sweep_eq4_even_path():
     f = equality(1, 4)
     p = build_nof_protocol(eq_nondet_decomposition(1, 4), f)
     assert p.lifted is False
-    assert strong_nondet_check(p, f).passed
+    assert strong_nondet_check(p).passed
 
 
 def test_lift_dummy_neutrality():
@@ -410,6 +412,66 @@ def test_lift_dummy_neutrality():
     p = build_nof_protocol(eq_nondet_decomposition(1, 3), f)
     for xs in f.inputs():
         assert run_nof(p, xs, dummy=0).accepted == run_nof(p, xs, dummy=1).accepted
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sweep_gip_even_k_rejects_exactly_zero_columns(n):
+    # a zero column of the exact grouped matrix has a float norm near 1e-16;
+    # it must reject from the exact mask, not divide by that noise
+    f = gip(n, 4)
+    rep = strong_nondet_check(build_nof_protocol(gip_nondet_decomposition(n, 4), f))
+    assert rep.passed and rep.wrong_decisions == ()
+    assert rep.max_reject_probability <= config.REJECT_CEILING
+    assert rep.max_sim_analytic_gap <= 1e-9
+
+
+def test_live_columns_are_the_columns_with_a_one_input():
+    for f, d in ((equality(2, 4), eq_nondet_decomposition(2, 4)),
+                 (hamming_neq1(2, 3), hamming_nondet_decomposition(2, 3))):
+        p = build_nof_protocol(d, f)
+        col_dims = p.work_dims[p.split:]
+        expect = np.zeros(math.prod(col_dims), dtype=bool)
+        # a lifted protocol repeats each column along the dummy mode
+        dummies = [(i,) for i in range(col_dims[-1])] if p.lifted else [()]
+        for xs in f.inputs():
+            if f.value(xs):
+                for dummy in dummies:
+                    expect[flat_offset(col_dims, xs[p.split:] + dummy)] = True
+        assert not p.live_columns.flags.writeable
+        assert np.array_equal(p.live_columns, expect)
+
+
+def test_sweep_evaluates_f_once_per_input_per_pass():
+    calls = []
+    base = equality(2, 4)
+
+    def counted(xs):
+        calls.append(xs)
+        return base._eval(xs)
+
+    f = dataclasses.replace(base, _eval=counted)
+    strong_nondet_check(build_nof_protocol(eq_nondet_decomposition(2, 4), f))
+    # one pass for pattern_check at compile time, one for the sweep itself
+    assert len(calls) <= 2 * f.side ** f.k
+
+
+def test_dead_column_rejects_before_float_work():
+    f = equality(1, 4)
+    p = build_nof_protocol(eq_nondet_decomposition(1, 4), f)
+    # float garbage in V cannot reach a column without a 1-input
+    noisy = dataclasses.replace(p, v=np.full_like(p.v, 1.0 + 1.0j))
+    res = run_nof(noisy, (0, 0, 0, 1))
+    assert (res.probability, res.accepted, res.analytic_probability) == (0.0, False, 0.0)
+
+
+def test_nonzero_dummy_on_unlifted_protocol_is_arity_error():
+    f = equality(1, 4)
+    p = build_nof_protocol(eq_nondet_decomposition(1, 4), f)
+    assert not p.lifted
+    with pytest.raises(ArityMismatch):
+        run_nof(p, (0, 0, 0, 0), dummy=1)
+    with pytest.raises(ArityMismatch):
+        strong_nondet_check(p, dummy=1)
 
 
 def test_normalization_error_on_rank_undercount():
