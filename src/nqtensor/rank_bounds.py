@@ -2,12 +2,12 @@
 
 Tensor rank is NP-hard to pin down exactly, so nothing here ever claims an
 exact rank beyond bracket tightness: the lower edge is the best unfolding rank
-(exact arithmetic), the upper edge is the best known decomposition.  The GIP
-certificate computes the slice ranks the summation bound is assembled from and
-the mode-1 unfolding rank, and reports both candidate bound expressions with
-flags rather than asserting either: the (2^n - 1)-term witness
-``functions.gip_nondet_decomposition`` refutes both as lower bounds on
-nrank(GIP) for n >= 2, k >= 3.
+(exact arithmetic, mode by mode until it reaches the upper edge), the upper
+edge is the best known decomposition.  The GIP certificate computes the slice
+ranks the summation bound is assembled from and the mode-1 unfolding rank,
+and reports both candidate bound expressions with flags rather than asserting
+either: the (2^n - 1)-term witness ``functions.gip_nondet_decomposition``
+refutes both as lower bounds on nrank(GIP) for n >= 2, k >= 3.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def pattern_check(t: DenseTensor, f: BooleanFunction) -> bool:
 
 @dataclass(frozen=True)
 class RankBracket:
-    lower: int  # max over modes of the exact unfolding rank
+    lower: int  # max over modes of the exact unfolding rank (ranked until it reaches upper)
     upper: int  # best known decomposition term count (or fallback)
     tight: bool
 
@@ -59,17 +59,30 @@ class RankBracket:
             raise ValueError(f"bracket lower {self.lower} exceeds upper {self.upper}")
 
 
-def unfolding_ranks(t: DenseTensor) -> tuple:
-    return tuple(exact_rank(unfold(t, mode)) for mode in range(1, t.order + 1))
+def max_unfolding_rank(t: DenseTensor, enough: int | None) -> int:
+    """Largest exact unfolding rank of t, computed mode by mode.
+
+    Stops as soon as the running maximum reaches ``enough``, so the result is
+    the true maximum whenever that maximum is below ``enough``, and otherwise
+    some value at least ``enough``.  ``None`` computes every mode.
+    """
+    best = 0
+    for mode in range(1, t.order + 1):
+        best = max(best, exact_rank(unfold(t, mode)))
+        if enough is not None and best >= enough:
+            break
+    return best
 
 
 def rank_bracket(t: DenseTensor, known: Decomposition | None = None) -> RankBracket:
     """Bracket the rank of t between unfolding ranks and a known witness.
 
     Without a witness the upper edge falls back to the product of the k-1
-    smallest dims (the generic bound), or 0 for the zero tensor.
+    smallest dims (the generic bound), or 0 for the zero tensor.  The witness
+    is checked first.  No unfolding rank exceeds the tensor rank, which is at
+    most the upper edge, so the unfoldings are ranked mode by mode only until
+    the lower edge reaches the upper one.
     """
-    lower = max(unfolding_ranks(t))
     if known is not None:
         if known.dims != t.dims or materialize(known) != t:
             raise DecompositionMismatch("decomposition does not materialize to the tensor")
@@ -81,6 +94,7 @@ def rank_bracket(t: DenseTensor, known: Decomposition | None = None) -> RankBrac
         upper = 1
         for d in sorted_dims[:-1]:
             upper *= d
+    lower = max_unfolding_rank(t, upper)
     return RankBracket(lower, upper, lower == upper)
 
 
@@ -163,7 +177,9 @@ def gip_certificate(n: int, k: int, t: DenseTensor) -> GipCertificate:
 def nrank_probe(f: BooleanFunction, trials: int, rng_seed: int) -> int:
     """Minimum bracket lower bound over seeded random substitutions.
 
-    This is evidence about the substitution family only: a minimum over
+    A trial stops ranking its unfoldings once their maximum reaches the best
+    value so far, since it can then no longer lower the minimum.  This is
+    evidence about the substitution family only: a minimum over
     random draws is not a minimum over all nondeterministic tensors, so the
     result is never reported as the nondeterministic rank itself.
     """
@@ -174,7 +190,7 @@ def nrank_probe(f: BooleanFunction, trials: int, rng_seed: int) -> int:
     for _ in range(trials):
         sub_seed = master.getrandbits(64)
         t = random_nondet_substitution(f, sub_seed)
-        lower = max(unfolding_ranks(t))
+        lower = max_unfolding_rank(t, best)
         if best is None or lower < best:
             best = lower
     return best

@@ -1,6 +1,11 @@
+import random
+
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import scale, superdiagonal, zero_tensor
+from nqtensor import rank_bounds
 from nqtensor.errors import (
     DecompositionMismatch,
     DegenerateN,
@@ -8,6 +13,7 @@ from nqtensor.errors import (
     PatternMismatch,
 )
 from nqtensor.functions import (
+    BooleanFunction,
     canonical_tensor,
     constant,
     eq_nondet_decomposition,
@@ -18,12 +24,13 @@ from nqtensor.functions import (
     random_nondet_substitution,
 )
 from nqtensor.rank_bounds import (
+    RankBracket,
     gip_certificate,
     nrank_probe,
     pattern_check,
     rank_bracket,
 )
-from nqtensor.scalar_linalg import exact, exact_rank
+from nqtensor.scalar_linalg import EC_ONE, EC_ZERO, exact, exact_rank
 from nqtensor.tensor_core import (
     Decomposition,
     materialize,
@@ -97,6 +104,122 @@ def test_bracket_rejects_wrong_witness():
         rank_bracket(t, known=wrong)
 
 
+# ---------------------------------------------------------------------------
+# stopping early: oracles that rank every mode, and call counts
+# ---------------------------------------------------------------------------
+
+
+def _all_modes_lower(t):
+    return max(exact_rank(unfold(t, mode)) for mode in range(1, t.order + 1))
+
+
+def _oracle_bracket(t, known):
+    """Bracket with every unfolding ranked (the witness is trusted)."""
+    if known is not None:
+        upper = known.term_count
+    elif all(e.is_zero() for e in t.entries):
+        upper = 0
+    else:
+        upper = 1
+        for d in sorted(t.dims)[:-1]:
+            upper *= d
+    lower = _all_modes_lower(t)
+    return (lower, upper, lower == upper)
+
+
+def _oracle_probe(f, trials, rng_seed):
+    master = random.Random(rng_seed)
+    return min(_all_modes_lower(random_nondet_substitution(f, master.getrandbits(64)))
+               for _ in range(trials))
+
+
+E0, E1 = (EC_ONE, EC_ZERO), (EC_ZERO, EC_ONE)
+# e0 x e0 x e0 + e0 x e1 x e1: mode-1 unfolding rank 1, modes 2 and 3 rank 2
+TWO_TERM = Decomposition((2, 2, 2), ((E0, E0, E0), (E0, E1, E1)))
+# its support as a function: 1 iff x_1 = 0 and x_2 = x_3
+TWO_TERM_F = BooleanFunction("two_term", 1, 3,
+                             lambda xs: 1 if xs[0] == 0 and xs[1] == xs[2] else 0)
+
+
+@st.composite
+def small_decompositions(draw):
+    """Order 2-4, unequal dims 1-3, 0-3 terms with components in -2..2."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    component = st.sampled_from((0, 0, 1, -1, 2))
+    terms = tuple(
+        tuple(tuple(exact(c) for c in draw(st.lists(component, min_size=n, max_size=n)))
+              for n in dims)
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return Decomposition(dims, terms)
+
+
+@seed(17)
+@settings(max_examples=150, deadline=None)
+@given(small_decompositions(), st.booleans())
+@example(TWO_TERM, True)
+@example(TWO_TERM, False)
+@example(Decomposition((2, 3, 2), ()), True)
+@example(Decomposition((2, 3, 2), ()), False)
+def test_bracket_matches_all_modes_oracle(d, with_witness):
+    t = materialize(d)
+    known = d if with_witness else None
+    br = rank_bracket(t, known=known)
+    assert (br.lower, br.upper, br.tight) == _oracle_bracket(t, known)
+
+
+@seed(18)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((equality(1, 3), gip(2, 3), hamming_neq1(1, 3),
+                     constant(1, 2, 1), TWO_TERM_F)),
+    st.integers(1, 4),
+    st.integers(0, 2 ** 16),
+)
+@example(TWO_TERM_F, 3, 1)
+def test_probe_matches_all_modes_oracle(f, trials, rng_seed):
+    assert nrank_probe(f, trials, rng_seed) == _oracle_probe(f, trials, rng_seed)
+
+
+def test_two_term_tensor_mode_ranks():
+    t = materialize(TWO_TERM)
+    assert [exact_rank(unfold(t, m)) for m in (1, 2, 3)] == [1, 2, 2]
+    assert rank_bracket(t, known=TWO_TERM) == RankBracket(2, 2, True)
+    assert rank_bracket(t) == RankBracket(2, 4, False)
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m.dims)
+        return exact_rank(m)
+
+    monkeypatch.setattr(rank_bounds, "exact_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("run, count", [
+    pytest.param(lambda: rank_bracket(canonical_tensor(equality(2, 4)),
+                                      known=eq_nondet_decomposition(2, 4)),
+                 1, id="eq_2_4_witness"),
+    pytest.param(lambda: rank_bracket(canonical_tensor(gip(2, 3))), 3, id="gip_2_3"),
+    pytest.param(lambda: nrank_probe(gip(2, 3), trials=5, rng_seed=1), 3 + 4,
+                 id="probe_gip_2_3"),
+])
+def test_exact_rank_call_count(rank_calls, run, count):
+    run()
+    assert len(rank_calls) == count
+
+
+def test_mismatched_witness_raises_before_any_rank(rank_calls):
+    wrong = Decomposition((2, 2, 2), eq_nondet_decomposition(1, 3).terms[:1])
+    with pytest.raises(DecompositionMismatch):
+        rank_bracket(canonical_tensor(equality(1, 3)), known=wrong)
+    assert rank_calls == []
+
+
 def test_bracket_scaling_invariance():
     t = canonical_tensor(gip(2, 3))
     scaled = scale(t, exact(3, -2))
@@ -162,6 +285,24 @@ def test_gip_certificate_on_substituted_tensor():
     # the 2^(n-1)-1 slice value is specific to the canonical 0/1 tensor
     assert cert.rank_t_prime == 3
     assert cert.rank_t_i_prime == (2,)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_gip_n2_two_term_witness(k):
+    # [x contains {1}] - [x contains {2}] on every mode: +1 when the AND of
+    # the strings is 10, -1 when it is 01, and 0 when it is 00 or 11, so
+    # the tensor has GIP's support and nrank(GIP) <= 2 at n = 2, well below
+    # the 0/1 tensor's tight bracket 2^n - 1 = 3
+    has_1 = tuple(exact(1 if x & 0b10 else 0) for x in range(4))
+    has_2 = tuple(exact(1 if x & 0b01 else 0) for x in range(4))
+    d = Decomposition((4,) * k, (
+        (has_1,) * k,
+        (tuple(-v for v in has_2),) + (has_2,) * (k - 1),
+    ))
+    t = materialize(d)
+    assert pattern_check(t, gip(2, k))
+    assert [exact_rank(unfold(t, m)) for m in range(1, k + 1)] == [2] * k
+    assert rank_bracket(t, known=d) == RankBracket(2, 2, True)
 
 
 def test_substituted_mode1_rank_caps_at_pattern_rank():
