@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import config
 from .errors import ArityMismatch, FormatError
-from .scalar_linalg import EC_ONE, EC_ZERO, exact
+from .scalar_linalg import EC_ONE, EC_ZERO, exact, read_lines
 from .tensor_core import (
     Decomposition,
     DenseTensor,
@@ -119,17 +119,13 @@ def load_truth_table(path, name: str = "custom") -> BooleanFunction:
     """Read a custom function from a truth-table file.
 
     One line per input: k whitespace-separated bit strings followed by the
-    function value, e.g. ``01 11 01 0``.  Every input must appear exactly once.
+    function value, e.g. ``01 11 01 0``; ``#`` starts a comment.  Every input
+    must appear exactly once.
     """
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    lines, last = read_lines(path, comments=True)
     table = {}
     n = k = None
-    for off, line in enumerate(raw):
-        lineno = off + 1
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        toks = line.split()
+    for lineno, toks in lines:
         if len(toks) < 3:
             raise FormatError("need k bit strings and a value", lineno)
         *strs, bit = toks
@@ -153,7 +149,7 @@ def load_truth_table(path, name: str = "custom") -> BooleanFunction:
         raise FormatError("empty truth table", 1)
     if len(table) != (2 ** n) ** k:
         raise FormatError(
-            f"truth table covers {len(table)} of {(2 ** n) ** k} inputs", len(raw)
+            f"truth table covers {len(table)} of {(2 ** n) ** k} inputs", last
         )
     return BooleanFunction(name, n, k, lambda xs: table[tuple(xs)])
 

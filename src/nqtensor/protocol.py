@@ -60,12 +60,15 @@ from .scalar_linalg import (
     exact_rank,
     numerical_rank,
     parse_float_scalar,
+    parse_ints,
+    read_lines,
     svd,
     to_float,
 )
 from .tensor_core import (
     Decomposition,
     DenseTensor,
+    check_size_cap,
     flat_offset,
     group_matrize,
     lift_order,
@@ -91,6 +94,7 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _permutation(d: int, image) -> np.ndarray:
     """The read-only 0/1 unitary |h,c> -> |image(h, c)> on H (x) C, dim H = d."""
+    check_size_cap((2 * d, 2 * d))
     u = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     for h in range(d):
         for c in range(2):
@@ -175,6 +179,7 @@ def gen_compare_and_flag(d: int, n: int):
     """
     if d != 4 ** n:
         raise DimMismatch(f"compare-and-flag needs player dim {4 ** n}, got {d}")
+    check_size_cap((2 * d, 2 * d))
     eye = np.eye(2 * d, dtype=np.complex128)
     eye.flags.writeable = False
 
@@ -191,10 +196,18 @@ def gen_compare_and_flag(d: int, n: int):
 
 
 def gen_matrix_literal(d: int, matrix: np.ndarray):
-    """A fixed, input-independent unitary supplied as a literal."""
+    """A fixed, input-independent unitary supplied as a literal.
+
+    A literal whose unitarity defect exceeds the tolerance raises
+    :class:`NonUnitary` here, once; a NaN defect compares false and is left
+    to the check each turn takes at run time.
+    """
     m = np.array(matrix, dtype=np.complex128)
     if m.shape != (2 * d, 2 * d):
         raise DimMismatch(f"literal must be {2 * d}x{2 * d}, got {m.shape}")
+    defect = unitarity_defect(m)
+    if defect > config.UNITARY_TOL:
+        raise NonUnitary(f"literal has unitarity defect {defect:.3e}")
     m.flags.writeable = False
     return _fixed(m, "matrix")
 
@@ -473,10 +486,7 @@ _GENERATOR_PARSERS = {
 def _one_int(args, line):
     if len(args) != 1:
         raise FormatError("generator takes exactly one integer argument", line)
-    try:
-        return int(args[0])
-    except ValueError:
-        raise FormatError(f"bad integer {args[0]!r}", line) from None
+    return parse_ints(args, line, f"bad integer {args[0]!r}")[0]
 
 
 def _parse_matrix(args, line):
@@ -490,7 +500,8 @@ def _parse_matrix(args, line):
 def read_scenario(path) -> ProtocolSpec:
     """Parse a protocol scenario file.
 
-    Grammar (one directive per line, '#' comments)::
+    Grammar (one directive per line, '#' comments, every directive but
+    ``turn`` at most once)::
 
         mode nih|nof
         players K
@@ -498,17 +509,16 @@ def read_scenario(path) -> ProtocolSpec:
         dims D_1 ... D_K
         turn PLAYER GENERATOR [ARGS...]
     """
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    lines, last = read_lines(path, comments=True)
     mode = k = n = dims = dims_line = None
     turn_lines = []
-    for off, line in enumerate(raw):
-        lineno = off + 1
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        toks = body.split()
+    seen = set()
+    for lineno, toks in lines:
         key = toks[0]
+        if key in seen:
+            raise FormatError(f"repeated {key} directive", lineno)
+        if key != "turn":
+            seen.add(key)
         if key == "mode":
             if len(toks) != 2 or toks[1] not in ("nih", "nof"):
                 raise FormatError("mode must be nih or nof", lineno)
@@ -518,10 +528,7 @@ def read_scenario(path) -> ProtocolSpec:
         elif key == "bits":
             n = _one_int(toks[1:], lineno)
         elif key == "dims":
-            try:
-                dims = tuple(int(t) for t in toks[1:])
-            except ValueError:
-                raise FormatError("dims must be integers", lineno) from None
+            dims = parse_ints(toks[1:], lineno, "dims must be integers")
             if any(d < 1 for d in dims):
                 raise FormatError("dims must be positive", lineno)
             dims_line = lineno
@@ -531,17 +538,14 @@ def read_scenario(path) -> ProtocolSpec:
             raise FormatError(f"unknown directive {key!r}", lineno)
     for name, val in (("mode", mode), ("players", k), ("bits", n), ("dims", dims)):
         if val is None:
-            raise FormatError(f"missing {name} directive", len(raw) or 1)
+            raise FormatError(f"missing {name} directive", last)
     if len(dims) != k:
         raise FormatError("dims count must equal players", dims_line)
     turns = []
     for lineno, toks in turn_lines:
         if len(toks) < 2:
             raise FormatError("turn needs a player and a generator", lineno)
-        try:
-            player = int(toks[0])
-        except ValueError:
-            raise FormatError(f"bad player {toks[0]!r}", lineno) from None
+        (player,) = parse_ints(toks[:1], lineno, f"bad player {toks[0]!r}")
         if not 1 <= player <= k:
             raise FormatError(f"player {player} out of range", lineno)
         gname = toks[1]
@@ -552,13 +556,14 @@ def read_scenario(path) -> ProtocolSpec:
         try:
             turn = Turn(player, parse(dims[player - 1], n, toks[2:], lineno))
             _check_turn(mode, k, turn)
-        except (DimMismatch, ValueError) as exc:
-            # a generator that cannot act on this player, or in this mode,
-            # is a malformed line
+        except (DimMismatch, NonUnitary, SizeCapExceeded, ValueError) as exc:
+            # a generator that cannot act on this player or in this mode, a
+            # literal that is not unitary, or a unitary over the entry cap is
+            # a malformed line
             raise FormatError(str(exc), lineno) from None
         turns.append(turn)
     if not turns:
-        raise FormatError("scenario has no turns", len(raw) or 1)
+        raise FormatError("scenario has no turns", last)
     return ProtocolSpec(mode, k, n, dims, tuple(turns))
 
 
@@ -802,8 +807,9 @@ def nih_families(spec: ProtocolSpec, f: BooleanFunction):
     """
     g = f.k // 2
     shape = (f.side ** g, f.side ** (f.k - g))
-    families = np.zeros(shape + (math.prod(spec.player_dims[:g]),
-                                 math.prod(spec.player_dims[g:])), dtype=np.complex128)
+    full = shape + (math.prod(spec.player_dims[:g]), math.prod(spec.player_dims[g:]))
+    check_size_cap(full)
+    families = np.zeros(full, dtype=np.complex128)
     ones = np.array(f.table()).reshape(shape) == 1
     for pos, xs in enumerate(f.inputs()):
         yz = divmod(pos, shape[1])

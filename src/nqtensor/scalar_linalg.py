@@ -19,10 +19,12 @@ Two parallel scalar worlds are kept deliberately separate:
   :func:`to_float` makes one from an exact matrix, and :func:`svd` checks
   that its entries are finite and returns read-only factors.
 
-An exact matrix is written to the ``.mat`` text format, whose ``p/q``
-rational tokens (:func:`format_rational`, :func:`parse_rational`) the ``.tsr``
-and ``.dec`` formats share.  Exact values are immutable after construction
-and safe to share across workers.
+Every text file goes through one line reader and one line writer
+(:func:`read_lines`, :func:`write_lines`): a reader consumes or rejects each
+nonblank line by its 1-based number.  An exact matrix is written to the
+``.mat`` text format, whose ``p/q`` rational tokens (:func:`format_rational`,
+:func:`parse_rational`) the ``.tsr`` and ``.dec`` formats share.  Exact
+values are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -75,27 +77,11 @@ class ExactComplex:
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "ExactComplex") -> "ExactComplex":
-        return ExactComplex(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-
-    def __truediv__(self, other: "ExactComplex") -> "ExactComplex":
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by exact zero")
-        # Fraction, not ``/``: int / int would be a float
-        return ExactComplex(
-            Fraction(self.re * other.re + self.im * other.im, d),
-            Fraction(self.im * other.re - self.re * other.im, d),
-        )
-
-    def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -245,8 +231,40 @@ def to_float(m: DenseTensor) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Text tokens and the .mat format
+# Text lines, tokens and the .mat format
 # ---------------------------------------------------------------------------
+
+
+def read_lines(path, comments: bool = False):
+    """The nonblank lines of a text file as ``(line number, tokens)`` pairs,
+    numbered from 1, and the file's last line number (1 for an empty file).
+
+    With ``comments``, the text after a ``#`` is dropped from each line first.
+    """
+    with open(path) as fh:
+        raw = fh.read().splitlines()
+    lines = []
+    for lineno, line in enumerate(raw, start=1):
+        toks = (line.split("#", 1)[0] if comments else line).split()
+        if toks:
+            lines.append((lineno, toks))
+    return lines, max(1, len(raw))
+
+
+def parse_ints(tokens, line, message) -> tuple:
+    """``tokens`` as ints; :class:`FormatError` ``message`` at ``line`` if
+    one is not an integer."""
+    try:
+        return tuple(int(tok) for tok in tokens)
+    except ValueError:
+        raise FormatError(message, line) from None
+
+
+def write_lines(path, lines) -> None:
+    """Write ``lines`` (strings without newlines), each ending in a newline."""
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
 
 _RATIONAL = r"(-?\d+)/(-?\d+)"
 _RATIONAL_TOKEN = _re.compile(rf"^{_RATIONAL}$")
@@ -295,8 +313,5 @@ def parse_float_scalar(tok: str, line=None) -> complex:
 
 def write_mat(path, m: DenseTensor) -> None:
     """Serialize an exact order-2 tensor to the .mat text format."""
-    lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(format_exact_scalar(e) for e in m.row(i)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, [f"{m.rows} {m.cols}"]
+                + [" ".join(format_exact_scalar(e) for e in m.row(i)) for i in range(m.rows)])

@@ -42,7 +42,10 @@ from .scalar_linalg import (
     format_exact_scalar,
     format_rational,
     parse_exact_scalar,
+    parse_ints,
     parse_rational,
+    read_lines,
+    write_lines,
 )
 
 # ---------------------------------------------------------------------------
@@ -297,51 +300,32 @@ def lift_order(d: Decomposition, length: int = 2) -> Decomposition:
 
 
 def write_tsr(path, t: DenseTensor) -> None:
-    lines = [f"order {t.order}", " ".join(str(d) for d in t.dims)]
-    for idx, e in zip(t.indices(), t.entries):
-        if e.is_zero():
-            continue
-        lines.append(" ".join(str(j) for j in idx)
-                     + f" {format_rational(e.re)} {format_rational(e.im)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, [f"order {t.order}", " ".join(str(d) for d in t.dims)] + [
+        " ".join(str(j) for j in idx) + f" {format_rational(e.re)} {format_rational(e.im)}"
+        for idx, e in zip(t.indices(), t.entries) if not e.is_zero()])
 
 
 def read_tsr(path) -> DenseTensor:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if len(raw) < 2:
-        raise FormatError("need an order line and a dims line", max(1, len(raw)))
-    head = raw[0].split()
+    lines, last = read_lines(path)
+    if len(lines) < 2:
+        raise FormatError("need an order line and a dims line", last)
+    (order_line, head), (dims_line, dim_toks) = lines[:2]
     if len(head) != 2 or head[0] != "order":
-        raise FormatError("line must read 'order k'", 1)
-    try:
-        order = int(head[1])
-    except ValueError:
-        raise FormatError("line must read 'order k'", 1) from None
+        raise FormatError("line must read 'order k'", order_line)
+    (order,) = parse_ints(head[1:], order_line, "line must read 'order k'")
     if order < 2:
-        raise FormatError("tensor order must be at least 2", 1)
-    try:
-        dims = tuple(int(tok) for tok in raw[1].split())
-    except ValueError:
-        raise FormatError("dims line must be integers", 2)
+        raise FormatError("tensor order must be at least 2", order_line)
+    dims = parse_ints(dim_toks, dims_line, "dims line must be integers")
     if len(dims) != order:
-        raise FormatError(f"expected {order} dims", 2)
+        raise FormatError(f"expected {order} dims", dims_line)
     if any(d < 0 for d in dims):
-        raise FormatError("dims must be nonnegative", 2)
+        raise FormatError("dims must be nonnegative", dims_line)
     check_size_cap(dims)
     entries = [EC_ZERO] * math.prod(dims)
-    for off, line in enumerate(raw[2:]):
-        lineno = off + 3
-        if not line.strip():
-            continue
-        toks = line.split()
+    for lineno, toks in lines[2:]:
         if len(toks) != order + 2:
             raise FormatError(f"expected {order} indices and 2 rationals", lineno)
-        try:
-            idx = tuple(int(tok) for tok in toks[:order])
-        except ValueError:
-            raise FormatError("bad index", lineno) from None
+        idx = parse_ints(toks[:order], lineno, "bad index")
         val = ExactComplex(parse_rational(toks[order], lineno),
                            parse_rational(toks[order + 1], lineno))
         try:
@@ -356,47 +340,32 @@ def read_tsr(path) -> DenseTensor:
 
 
 def write_dec(path, d: Decomposition) -> None:
-    lines = [f"{d.order} " + " ".join(str(x) for x in d.dims) + f" {d.term_count}"]
-    for term in d.terms:
-        for vec in term:
-            lines.append(" ".join(format_exact_scalar(v) for v in vec))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, [" ".join(str(x) for x in (d.order, *d.dims, d.term_count))] + [
+        " ".join(format_exact_scalar(v) for v in vec) for term in d.terms for vec in term])
 
 
 def read_dec(path) -> Decomposition:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw:
+    lines, last = read_lines(path)
+    if not lines:
         raise FormatError("empty .dec file", 1)
-    head = raw[0].split()
-    if len(head) < 3:
-        raise FormatError("header must be 'order dims... r'", 1)
-    try:
-        order = int(head[0])
-        dims = tuple(int(tok) for tok in head[1:1 + order])
-        r = int(head[-1])
-    except (ValueError, IndexError):
-        raise FormatError("header must be 'order dims... r'", 1) from None
-    if len(head) != order + 2:
-        raise FormatError("header must be 'order dims... r'", 1)
+    (head_line, head), body = lines[0], lines[1:]
+    header = "header must be 'order dims... r'"
+    nums = parse_ints(head, head_line, header)
+    if len(nums) < 3 or len(nums) != nums[0] + 2:
+        raise FormatError(header, head_line)
+    order, *dims, r = nums
     if order < 2 or min(dims) < 0 or r < 0:
-        raise FormatError("need order >= 2, dims >= 0 and term count >= 0", 1)
-    body = [(lineno, line) for lineno, line in enumerate(raw[1:], start=2)
-            if line.strip()]
+        raise FormatError("need order >= 2, dims >= 0 and term count >= 0", head_line)
+    blocks = f"expected {r} blocks of {order} vector lines"
     if len(body) < r * order:
-        raise FormatError(f"expected {r} blocks of {order} vector lines",
-                          max(1, len(raw)))
-    terms = []
-    pos = 0
-    for _ in range(r):
-        term = []
-        for d in dims:
-            lineno, line = body[pos]
-            vec = tuple(parse_exact_scalar(tok, lineno) for tok in line.split())
-            if len(vec) != d:
-                raise FormatError(f"vector length {len(vec)} != dim {d}", lineno)
-            term.append(vec)
-            pos += 1
-        terms.append(tuple(term))
-    return Decomposition(dims, tuple(terms))
+        raise FormatError(blocks, last)
+    vecs = []
+    for (lineno, toks), d in zip(body, dims * r):
+        vec = tuple(parse_exact_scalar(tok, lineno) for tok in toks)
+        if len(vec) != d:
+            raise FormatError(f"vector length {len(vec)} != dim {d}", lineno)
+        vecs.append(vec)
+    if len(body) > r * order:
+        raise FormatError(blocks, body[r * order][0])
+    return Decomposition(dims, tuple(tuple(vecs[i:i + order])
+                                     for i in range(0, len(vecs), order)))

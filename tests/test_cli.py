@@ -155,7 +155,11 @@ def test_malformed_dec_is_usage_error(tmp_path):
     # a repeated index would overwrite the first entry
     ("order 2\n2 2\n0 0 1/1 0/1\n0 0 2/1 0/1\n", None, 4),
     ("order 3\n2 2 2\n0 0 0 1/1 0/1\n", "3 2 2 2 -1\n", 1),
-], ids=["tsr-duplicate-index", "dec-negative-term-count"])
+    # the 2-term eq (1, 3) witness, then a blank line and one more vector
+    ("order 3\n2 2 2\n0 0 0 1/1 0/1\n1 1 1 1/1 0/1\n",
+     "3 2 2 2 2\n" + "1/1+0/1i 0/1+0/1i\n" * 3 + "0/1+0/1i 1/1+0/1i\n" * 3
+     + "\n1/1+0/1i 0/1+0/1i\n", 9),
+], ids=["tsr-duplicate-index", "dec-negative-term-count", "dec-line-after-blocks"])
 def test_malformed_tsr_or_dec_names_its_line(tmp_path, capsys, tsr, dec, line):
     args = ["rank", "--tsr", str(tmp_path / "t.tsr"), "--out", str(tmp_path)]
     (tmp_path / "t.tsr").write_text(tsr)
@@ -181,9 +185,15 @@ def test_malformed_tsr_or_dec_names_its_line(tmp_path, capsys, tsr, dec, line):
     ("nih", "dims 2 2 2", "turn 1 flip-channel", 4),
     # write-bit reads the player's own input, which a NOF player cannot see
     ("nof", "dims 2 2", "turn 1 write-bit 1", 5),
+    # a directive other than turn may appear once; the repeat is rejected
+    ("nih\nmode nof", "dims 2 2", "turn 1 flip-channel", 2),
+    ("nih", "dims 2 2\n# again\ndims 2 2", "turn 1 flip-channel", 6),
+    # all ones: every entry of U^H U is 4, a unitarity defect of 4
+    ("nih", "dims 2 2", "turn 1 matrix " + " ; ".join(["1+0i 1+0i 1+0i 1+0i"] * 4), 5),
 ], ids=["zero-dim", "negative-dim", "store-slot-0", "cnot-slot-0", "ragged-matrix",
         "store-on-dim-3", "store-slot-3", "write-bit-2", "compare-and-flag-dim-2",
-        "cnot-slot-2", "dims-count", "nih-only-generator-in-nof"])
+        "cnot-slot-2", "dims-count", "nih-only-generator-in-nof", "repeated-mode",
+        "repeated-dims", "non-unitary-matrix"])
 def test_malformed_scenario_names_its_line(tmp_path, capsys, mode, dims, turn, line):
     scn = tmp_path / "s.scn"
     scn.write_text(f"mode {mode}\nplayers 2\nbits 1\n{dims}\n{turn}\n")
@@ -200,6 +210,28 @@ def test_scenario_shape_disagreeing_with_function_is_usage_error(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("usage error: ")
     assert "players 2, bits 1" in err and "k 2, n 2" in err
+
+
+def test_nih_extract_nof_scenario_is_usage_error(tmp_path, capsys):
+    scn = tmp_path / "s.scn"
+    scn.write_text("mode nof\nplayers 2\nbits 1\ndims 2 2\nturn 1 flip-channel\n")
+    assert cli.main(["nih-extract", "--scenario", str(scn), "--function", "const1",
+                     "--n", "1", "--k", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: scenario mode is nof")
+
+
+@pytest.mark.parametrize("function, message", [
+    # 4 x 16 inputs x (2 x 4) player dims = 512 family entries
+    ("const1", "512 entries exceed cap 256"),
+    # the 32 x 32 store unitary of player 3 (dim 16)
+    ("eq", "1024 entries exceed cap 256"),
+])
+def test_nih_extract_over_size_cap_is_usage_error(tmp_path, capsys, monkeypatch,
+                                                  function, message):
+    monkeypatch.setenv("NQTENSOR_SIZE_CAP", "256")
+    assert cli.main(["nih-extract", "--function", function, "--n", "2", "--k", "3",
+                     "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_unknown_function_is_usage_error(tmp_path):

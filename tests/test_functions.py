@@ -270,6 +270,14 @@ def test_truth_table_roundtrip(tmp_path):
         assert g.value(xs) == f.value(xs)
 
 
+def test_truth_table_comment_after_value(tmp_path):
+    f = equality(1, 3)
+    path = tmp_path / "eq.tt"
+    path.write_text("".join(f"{' '.join(format(x, 'b') for x in xs)} {f.value(xs)}"
+                            f"  # note {i}\n\n" for i, xs in enumerate(f.inputs())))
+    assert load_truth_table(path).table() == f.table()
+
+
 def test_truth_table_incomplete(tmp_path):
     path = tmp_path / "bad.tt"
     path.write_text("0 0 1\n")

@@ -149,11 +149,13 @@ def test_pruned_branches_match_dense_simulation(case):
 
 def test_branch_blowup_exceeds_size_cap(monkeypatch):
     # live branches x sum of player dims: 64 x 6 for six Haar turns, against
-    # 1 x 20 for the pruned n = 2 relay (512 x 20 unpruned)
+    # 1 x 20 for the pruned n = 2 relay (512 x 20 unpruned); the relay is
+    # built first, since its 32 x 32 store unitaries exceed the lowered cap
+    relay = trivial_eq_relay_spec(2)
     monkeypatch.setenv("NQTENSOR_SIZE_CAP", "256")
     with pytest.raises(SizeCapExceeded, match="live branches"):
         simulate_branches(random_protocol(5, k=3, ell=6), (0, 1, 0))
-    assert len(simulate_branches(trivial_eq_relay_spec(2), (1, 1, 1)).branches) == 1
+    assert len(simulate_branches(relay, (1, 1, 1)).branches) == 1
 
 
 def test_branch_form_matches_dense_for_relay_protocol():

@@ -297,7 +297,7 @@ def test_gip_n2_two_term_witness(k):
     has_2 = tuple(exact(1 if x & 0b01 else 0) for x in range(4))
     d = Decomposition((4,) * k, (
         (has_1,) * k,
-        (tuple(-v for v in has_2),) + (has_2,) * (k - 1),
+        (tuple(v * exact(-1) for v in has_2),) + (has_2,) * (k - 1),
     ))
     t = materialize(d)
     assert pattern_check(t, gip(2, k))

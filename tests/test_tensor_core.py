@@ -104,7 +104,7 @@ def decompositions(draw):
     ]
     if count >= 2 and draw(st.booleans()):
         first, *rest = terms[draw(st.integers(0, count - 2))]
-        terms[-1] = (tuple(-v for v in first), *rest)
+        terms[-1] = (tuple(v * exact(-1) for v in first), *rest)
     return Decomposition(dims, tuple(terms))
 
 
@@ -329,6 +329,18 @@ def test_tsr_roundtrip(tmp_path):
     path = tmp_path / "t.tsr"
     write_tsr(path, t)
     assert read_tsr(path) == t
+
+
+def test_blank_lines_are_ignored(tmp_path):
+    t = canonical_tensor(gip(1, 2))
+    d = _random_decomposition(random.Random(4), (2, 2), 2)
+    write_tsr(tmp_path / "t.tsr", t)
+    write_dec(tmp_path / "d.dec", d)
+    for name in ("t.tsr", "d.dec"):
+        path = tmp_path / name
+        path.write_text("\n \n" + path.read_text().replace("\n", "\n\t\n"))
+    assert read_tsr(tmp_path / "t.tsr") == t
+    assert read_dec(tmp_path / "d.dec") == d
 
 
 def test_tsr_bad_entry_line(tmp_path):

@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from nqtensor.functions import canonical_tensor, eq_nondet_decomposition, equality
-from nqtensor.tensor_core import unfold
+from nqtensor.tensor_core import read_dec, read_tsr, unfold, write_dec, write_tsr
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,7 +36,7 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_counts_read_real_arguments():
+def test_counts_read_real_arguments(tmp_path):
     counts = {(module, attr): fn for module, attr, _, fn in _load_tracer().WRAPPED}
     # rows * cols of the 2 x 4 mode-1 unfolding of eq at n = 1, k = 3
     m = unfold(canonical_tensor(equality(1, 3)), 1)
@@ -44,3 +44,11 @@ def test_counts_read_real_arguments():
     # term_count * prod(dims) of its 2-term witness over dims (2, 2, 2)
     d = eq_nondet_decomposition(1, 3)
     assert counts["tensor_core", "materialize"]((d,), {}, None) == {"term_entries": 16}
+    # the I/O spans count the size of the file named by the first argument
+    t, tsr, dec = canonical_tensor(equality(1, 3)), tmp_path / "t.tsr", tmp_path / "d.dec"
+    for fn, args in ((write_tsr, (tsr, t)), (read_tsr, (tsr,)),
+                     (write_dec, (dec, d)), (read_dec, (dec,))):
+        result = fn(*args)
+        size = args[0].stat().st_size
+        assert size > 0
+        assert counts["tensor_core", fn.__name__](args, {}, result) == {"bytes": size}
