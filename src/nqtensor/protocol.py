@@ -19,17 +19,21 @@ Three views of a protocol live here:
   classical protocol keeps one live transcript per input.  It takes no
   Kronecker product per branch: a player vector enters its turn's unitary
   through the channel slots of a zero vector, and products of player vectors
-  are folded with outer products, bit for bit what ``np.kron`` computes;
+  are folded with outer products, bit for bit what ``np.kron`` computes.  A
+  turn's unitary is a function of what its generator sees, so a sweep over
+  many inputs re-runs a turn only when what it or an earlier turn sees has
+  changed, and builds an input-free turn once;
 * a dense statevector simulator used as an independent cross-check;
 * the SVD route: compress one grouped half of a nondeterministic tensor into
   ceil(log2 r) qubits and read the acceptance amplitude off the factors; a
   column half with no 1-input rejects from the exact tensor, not a float norm.
 
-On top of the branch form sits the extraction pipeline: group the players
-into two halves, keep each input's accepted vector as a matrix over the two
-halves (a sum over its live accepted transcripts of at most 2^(ell-1)
-products), contract it with integer coefficients on both sides, and certify
-the zero pattern and rank of the resulting grouped matrix.
+On top of the branch form sits the extraction pipeline: one sweep over every
+input checks the premise and keeps each input's accepted vector as a matrix
+over two halves of the players (a sum over its live accepted transcripts of
+at most 2^(ell-1) products); certifying contracts it with integer
+coefficients on both sides and checks the zero pattern and rank of the
+resulting grouped matrix.
 """
 
 from __future__ import annotations
@@ -81,6 +85,17 @@ from .tensor_core import (
 
 
 def unitarity_defect(m: np.ndarray) -> float:
+    """max |m^H m - I| of a square matrix ``m``.
+
+    A matrix with one nonzero entry in each row and each column, every such
+    entry exactly 1, is a permutation matrix: the product would give exactly
+    0.0, so it is skipped.  Anything else, NaN entries included, takes the
+    product.
+    """
+    nz = m != 0
+    if (np.count_nonzero(nz) == m.shape[0] and nz.any(axis=0).all()
+            and nz.any(axis=1).all() and (m[nz] == 1).all()):
+        return 0.0
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
@@ -113,19 +128,22 @@ def _permutation(d: int, image) -> np.ndarray:
 # everyone else's.  Generators that read the input therefore only make sense
 # in NIH mode and say so via `nih_only`.  A unitary that does not depend on
 # the input is built once, with the generator, and every call returns that
-# one read-only array.
+# one read-only array; such a generator is tagged `input_free`, so a sweep
+# over inputs builds and checks its turn once.
 
 
-def _named(make, label: str, nih_only: bool = False):
-    """Tag a generator with its turn label and whether it reads its own input."""
+def _named(make, label: str, nih_only: bool = False, input_free: bool = False):
+    """Tag a generator with its turn label, whether it reads its own input,
+    and whether it reads no input at all."""
     make.label = label
     make.nih_only = nih_only
+    make.input_free = input_free
     return make
 
 
 def _fixed(u: np.ndarray, label: str):
     """A generator that returns the one read-only unitary ``u`` at every input."""
-    return _named(lambda visible: u, label)
+    return _named(lambda visible: u, label, input_free=True)
 
 
 def gen_write_bit(d: int, n: int, j: int):
@@ -198,15 +216,14 @@ def gen_compare_and_flag(d: int, n: int):
 def gen_matrix_literal(d: int, matrix: np.ndarray):
     """A fixed, input-independent unitary supplied as a literal.
 
-    A literal whose unitarity defect exceeds the tolerance raises
-    :class:`NonUnitary` here, once; a NaN defect compares false and is left
-    to the check each turn takes at run time.
+    A literal whose unitarity defect exceeds the tolerance, or is NaN, raises
+    :class:`NonUnitary` here, once.
     """
     m = np.array(matrix, dtype=np.complex128)
     if m.shape != (2 * d, 2 * d):
         raise DimMismatch(f"literal must be {2 * d}x{2 * d}, got {m.shape}")
     defect = unitarity_defect(m)
-    if defect > config.UNITARY_TOL:
+    if not defect <= config.UNITARY_TOL:  # a NaN defect fails too
         raise NonUnitary(f"literal has unitarity defect {defect:.3e}")
     m.flags.writeable = False
     return _fixed(m, "matrix")
@@ -343,48 +360,83 @@ def _turn_unitary(spec: ProtocolSpec, idx: int, xs) -> np.ndarray:
     return w
 
 
-def simulate_branches(spec: ProtocolSpec, xs) -> BranchState:
-    """Run the protocol, splitting one branch per channel basis state.
+def _turn_step(spec: ProtocolSpec, idx: int, w: np.ndarray, branches: dict,
+               cap: int) -> dict:
+    """Apply turn ``idx``'s unitary ``w`` to ``branches``; the live children.
 
-    A branch enters its turn as the acting player's vector ``v`` written into
+    A branch enters the turn as the acting player's vector ``v`` written into
     the slots ``c::2`` of a zero vector, ``c`` the branch's last channel bit.
     That vector is ``np.kron(v, e_c)`` up to the sign of zero components,
     which changes no nonzero sum; the tests check every output bit against
     ``np.kron``.  A child whose new player vector is exactly zero is dropped:
     its product, and so its share of every sum over branches, is exactly
-    zero.  Raises :class:`SizeCapExceeded` once the live branches times the
-    summed player dimensions exceed :func:`config.size_cap`.
+    zero.  Raises :class:`SizeCapExceeded` once the live children times the
+    summed player dimensions exceed ``cap``.
     """
-    xs = spec.check_input(xs)
-    branches = {
-        (): tuple(np.eye(d, dtype=np.complex128)[:, 0] for d in spec.player_dims)
-    }
-    norm_history = []
+    p = spec.turns[idx].player - 1
+    d = spec.player_dims[p]
+    new = {}
+    for m, vecs in branches.items():
+        c = m[-1] if m else 0
+        inp = np.zeros(2 * d, dtype=np.complex128)
+        inp[c::2] = vecs[p]
+        out = (w @ inp).reshape(d, 2)
+        for c2 in (0, 1):
+            if not out[:, c2].any():
+                continue
+            child = list(vecs)
+            child[p] = out[:, c2].copy()
+            new[m + (c2,)] = tuple(child)
     entries_per_branch = sum(spec.player_dims)
+    if len(new) * entries_per_branch > cap:
+        raise SizeCapExceeded(
+            f"turn {idx + 1}: {len(new)} live branches x "
+            f"{entries_per_branch} entries exceed cap {cap}")
+    return new
+
+
+def sweep_branches(spec: ProtocolSpec, inputs):
+    """Run the protocol at each input in turn; yield each input's
+    :class:`BranchState`, in order.
+
+    A turn's key is what its generator sees, or ``None`` for a generator
+    tagged input-free.  Its unitary is a function of its key, so the state
+    after turn t is a function of the keys of turns 1..t.  The sweep keeps
+    the branches after every turn of the previous input and resumes after
+    the longest prefix of turns whose keys are unchanged; a re-run turn
+    whose own key is unchanged reuses its unitary.  Every state is what a
+    run from the start computes, bit for bit, and a turn or cap failure is
+    raised at the same input.
+    """
     cap = config.size_cap()
-    for idx, turn in enumerate(spec.turns):
-        p = turn.player - 1
-        d = spec.player_dims[p]
-        w = _turn_unitary(spec, idx, xs)
-        new = {}
-        for m, vecs in branches.items():
-            c = m[-1] if m else 0
-            inp = np.zeros(2 * d, dtype=np.complex128)
-            inp[c::2] = vecs[p]
-            out = (w @ inp).reshape(d, 2)
-            for c2 in (0, 1):
-                if not out[:, c2].any():
-                    continue
-                child = list(vecs)
-                child[p] = out[:, c2].copy()
-                new[m + (c2,)] = tuple(child)
-        branches = new
-        if len(branches) * entries_per_branch > cap:
-            raise SizeCapExceeded(
-                f"turn {idx + 1}: {len(branches)} live branches x "
-                f"{entries_per_branch} entries exceed cap {cap}")
-        norm_history.append(_total_sq_norm(branches))
-    return BranchState(spec.player_dims, branches, tuple(norm_history))
+    initial = tuple(np.eye(d, dtype=np.complex128)[:, 0] for d in spec.player_dims)
+    states = [{(): initial}]  # states[t]: the branches after t turns
+    norms = []  # norms[t]: their total squared norm after turn t + 1
+    keys = [object()] * spec.ell  # equal to no key: no turn has run
+    unitaries = [None] * spec.ell
+    for xs in inputs:
+        xs = spec.check_input(xs)
+        now = [None if getattr(turn.make, "input_free", False)
+               else spec.visible(turn.player, xs) for turn in spec.turns]
+        resume = next((t for t in range(spec.ell) if now[t] != keys[t]), spec.ell)
+        del states[resume + 1:], norms[resume:]
+        for t in range(resume, spec.ell):
+            if now[t] != keys[t]:
+                unitaries[t] = _turn_unitary(spec, t, xs)
+                keys[t] = now[t]
+            states.append(_turn_step(spec, t, unitaries[t], states[-1], cap))
+            norms.append(_total_sq_norm(states[-1]))
+        yield BranchState(spec.player_dims, states[-1], tuple(norms))
+
+
+def simulate_branches(spec: ProtocolSpec, xs) -> BranchState:
+    """Run the protocol at one input, splitting one branch per channel basis
+    state: the sweep of :func:`sweep_branches` over ``xs`` alone.
+
+    Each turn's generator must be a function of what it sees: a sweep
+    reuses a unitary wherever that input repeats.
+    """
+    return next(sweep_branches(spec, (xs,)))
 
 
 def _total_sq_norm(branches) -> float:
@@ -483,9 +535,9 @@ _GENERATOR_PARSERS = {
 }
 
 
-def _one_int(args, line):
+def _one_int(args, line, message="generator takes exactly one integer argument"):
     if len(args) != 1:
-        raise FormatError("generator takes exactly one integer argument", line)
+        raise FormatError(message, line)
     return parse_ints(args, line, f"bad integer {args[0]!r}")[0]
 
 
@@ -524,9 +576,9 @@ def read_scenario(path) -> ProtocolSpec:
                 raise FormatError("mode must be nih or nof", lineno)
             mode = toks[1]
         elif key == "players":
-            k = _one_int(toks[1:], lineno)
+            k = _one_int(toks[1:], lineno, "players takes exactly one integer")
         elif key == "bits":
-            n = _one_int(toks[1:], lineno)
+            n = _one_int(toks[1:], lineno, "bits takes exactly one integer")
         elif key == "dims":
             dims = parse_ints(toks[1:], lineno, "dims must be integers")
             if any(d < 1 for d in dims):
@@ -774,9 +826,9 @@ def coefficient_search(families: np.ndarray, ones, set_size_exponent: int,
 class NihCertificate:
     """Outcome of the NIH extraction pipeline for one protocol/function pair.
 
-    ``families`` is what :func:`nih_families` returned for the pair (every
-    input's accepted matrix and the mask of f = 1), so more coefficient
-    searches need no second premise sweep.
+    It keeps only the verdicts and counts, not the families it was certified
+    from: a caller that searches more coefficients calls :func:`nih_families`
+    and :func:`certify_families` itself.
     """
 
     ell: int
@@ -788,13 +840,17 @@ class NihCertificate:
     implied_min_cost: int
     cost_bound_ok: bool
     attempts: int
-    families: tuple = field(compare=False, repr=False)
 
 
 def nih_families(spec: ProtocolSpec, f: BooleanFunction):
-    """Simulate every input, check that the protocol accepts exactly f's
-    1-inputs (else :class:`PremiseViolation`), and keep each input's
-    accepted vector.
+    """The premise sweep: simulate every input, check that the protocol
+    accepts exactly f's 1-inputs (else :class:`PremiseViolation`, naming the
+    first input in lexicographic order that disagrees), and keep each
+    input's accepted vector.
+
+    The protocol must be an NIH protocol of f's shape with at least one turn.
+    One :func:`sweep_branches` runs the inputs in lexicographic order, so a
+    turn re-runs only when the string it or an earlier turn reads changed.
 
     Returns (families, ones), indexed by (y, z): y runs over the input tuples
     of the first floor(k/2) players and z over the rest's, both in
@@ -805,15 +861,21 @@ def nih_families(spec: ProtocolSpec, f: BooleanFunction):
     mask of f = 1.  Each input keeps its own matrix because the transcripts
     that are live differ from input to input.
     """
+    if spec.mode != "nih":
+        raise PremiseViolation("certificate applies to NIH protocols")
+    if spec.k != f.k or spec.n != f.n:
+        raise DimMismatch("protocol and function shapes disagree")
+    if spec.ell < 1:
+        raise DimMismatch("certificate needs at least one turn")
     g = f.k // 2
     shape = (f.side ** g, f.side ** (f.k - g))
     full = shape + (math.prod(spec.player_dims[:g]), math.prod(spec.player_dims[g:]))
     check_size_cap(full)
     families = np.zeros(full, dtype=np.complex128)
     ones = np.array(f.table()).reshape(shape) == 1
-    for pos, xs in enumerate(f.inputs()):
+    states = sweep_branches(spec, f.inputs())
+    for pos, (xs, b) in enumerate(zip(f.inputs(), states)):
         yz = divmod(pos, shape[1])
-        b = simulate_branches(spec, xs)
         if (b.accept_probability() > config.ACCEPT_EPS) != ones[yz]:
             raise PremiseViolation(f"protocol acceptance at {xs} disagrees with {f.name}")
         _, a_vecs, b_vecs = extract_families(b)
@@ -822,30 +884,23 @@ def nih_families(spec: ProtocolSpec, f: BooleanFunction):
     return families, ones
 
 
-def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
-                         set_size_exponent: int | None = None) -> NihCertificate:
-    """Run the full extraction: premise sweep, grouping, coefficient search
-    (at most 10 draws), grouped-matrix pattern and rank checks.
+def certify_families(spec: ProtocolSpec, f: BooleanFunction, families: np.ndarray,
+                     ones: np.ndarray, rng_seed: int,
+                     set_size_exponent: int | None = None) -> NihCertificate:
+    """Certify what :func:`nih_families` returned for ``spec`` and ``f``:
+    coefficient search (at most 10 draws), grouped-matrix pattern and rank
+    checks.
 
-    The protocol must be strongly nondeterministic for f (verified first,
-    else :class:`PremiseViolation`).  The grouped matrix is the one that
-    :func:`coefficient_search` returns.  It is certified as a grouped
-    matrization: its zero pattern must match f under the grouping and its
-    rank must not exceed 2^(ell-1).  It is a float matrix built from the
-    inputs' accepted matrices, so its rank is the numerical rank
-    (:func:`numerical_rank` of its singular values); the 0/1 pattern matrix
-    of f is exact and takes :func:`exact_rank`.
+    The grouped matrix is the one that :func:`coefficient_search` returns,
+    with coefficients up to 2^set_size_exponent (default kn + 1).  It is
+    certified as a grouped matrization: its zero pattern must match f under
+    the grouping and its rank must not exceed 2^(ell-1).  It is a float
+    matrix built from the inputs' accepted matrices, so its rank is the
+    numerical rank (:func:`numerical_rank` of its singular values); the 0/1
+    pattern matrix of f is exact and takes :func:`exact_rank`.
     """
-    if spec.mode != "nih":
-        raise PremiseViolation("certificate applies to NIH protocols")
-    if spec.k != f.k or spec.n != f.n:
-        raise DimMismatch("protocol and function shapes disagree")
-    if spec.ell < 1:
-        raise DimMismatch("certificate needs at least one turn")
     if set_size_exponent is None:
         set_size_exponent = f.k * f.n + 1
-
-    families, ones = nih_families(spec, f)
     coeff = coefficient_search(families, ones, set_size_exponent, rng_seed)
     grouped = coeff.grouped
     pattern_ok = bool(np.array_equal(np.abs(grouped) > config.ACCEPT_EPS, ones))
@@ -864,5 +919,16 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
         implied_min_cost=implied,
         cost_bound_ok=ell >= implied,
         attempts=coeff.attempts,
-        families=(families, ones),
     )
+
+
+def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
+                         set_size_exponent: int | None = None) -> NihCertificate:
+    """Run the full extraction: the premise sweep of :func:`nih_families`,
+    then :func:`certify_families` on its result.
+
+    The protocol must be strongly nondeterministic for f (verified first,
+    else :class:`PremiseViolation`).
+    """
+    families, ones = nih_families(spec, f)
+    return certify_families(spec, f, families, ones, rng_seed, set_size_exponent)

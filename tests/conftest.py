@@ -12,6 +12,9 @@ constructors below (``identity``, ``zero_matrix``, ``transpose``,
 reference oracles: they build entry by entry with ``ExactComplex``
 arithmetic, and no command of the package needs them.
 
+``per_input_families`` is ``protocol.nih_families`` with every input
+simulated from the first turn by its own ``simulate_branches``.
+
 ``cli_env`` is the environment for a child ``python -m nqtensor``: the
 ``pythonpath`` pytest setting reaches only this process, so the child gets
 the package's ``src`` directory through ``PYTHONPATH``.
@@ -23,7 +26,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
+
 import nqtensor
+from nqtensor import config
+from nqtensor.errors import PremiseViolation
+from nqtensor.protocol import extract_families, simulate_branches
 from nqtensor.scalar_linalg import (
     EC_ONE,
     EC_ZERO,
@@ -39,6 +47,26 @@ def cli_env() -> dict:
     src = str(Path(nqtensor.__file__).resolve().parents[1])
     rest = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + os.pathsep + rest if rest else src}
+
+
+def per_input_families(spec, f):
+    """(families, ones) as ``nih_families`` returns them, one fresh
+    simulation per input in lexicographic order, with the same premise
+    check."""
+    g = f.k // 2
+    shape = (f.side ** g, f.side ** (f.k - g))
+    families = np.zeros(shape + (math.prod(spec.player_dims[:g]),
+                                 math.prod(spec.player_dims[g:])), dtype=np.complex128)
+    ones = np.array(f.table()).reshape(shape) == 1
+    for pos, xs in enumerate(f.inputs()):
+        yz = divmod(pos, shape[1])
+        b = simulate_branches(spec, xs)
+        if (b.accept_probability() > config.ACCEPT_EPS) != ones[yz]:
+            raise PremiseViolation(f"protocol acceptance at {xs} disagrees with {f.name}")
+        _, a_vecs, b_vecs = extract_families(b)
+        for a, v in zip(a_vecs, b_vecs):
+            families[yz] += np.outer(a, v)
+    return families, ones
 
 
 def exact_det(entries):

@@ -130,18 +130,25 @@ def test_criterion_9_nih_certificate(suite):
 
 
 def test_criterion_9_sweeps_once(monkeypatch):
-    # one premise sweep per relay size: 2^3 + 4^3 simulated inputs; the
-    # 20-seed coefficient search reuses the certificate's families
-    calls = []
-    simulate = protocol.simulate_branches
+    # one premise sweep per relay size, over 2^3 and 4^3 inputs; the 20-seed
+    # coefficient search reuses that sweep's families
+    sweeps = []
+    sweep = protocol.sweep_branches
 
-    def counted(spec, xs):
-        calls.append(xs)
-        return simulate(spec, xs)
+    def counted(spec, inputs):
+        simulated = []
+        sweeps.append(simulated)
 
-    monkeypatch.setattr(protocol, "simulate_branches", counted)
+        def recorded():
+            for xs in inputs:
+                simulated.append(xs)
+                yield xs
+
+        return sweep(spec, recorded())
+
+    monkeypatch.setattr(protocol, "sweep_branches", counted)
     assert verify.criterion_nih_certificate(SEED).passed
-    assert len(calls) == 8 + 64
+    assert [len(s) for s in sweeps] == [8, 64]
 
 
 def test_criterion_10_determinism(suite):

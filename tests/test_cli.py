@@ -336,14 +336,29 @@ def test_nih_extract_from_scenario(tmp_path):
 
 
 def test_nih_extract_nan_unitary_is_error(tmp_path):
+    # a NaN literal has a NaN unitarity defect, which is not within tolerance
     scn = tmp_path / "nan.scn"
     nan_rows = " ; ".join(" ".join(["nan+0i"] * 4) for _ in range(4))
     scn.write_text(f"mode nih\nplayers 2\nbits 1\ndims 2 2\nturn 1 matrix {nan_rows}\n")
     res = run_cli("nih-extract", "--scenario", str(scn), "--function", "const0",
                   "--n", "1", "--k", "2", "--out", str(tmp_path))
-    assert res.returncode == 1
-    assert res.stderr.startswith("error: turn 1 (matrix): unitarity defect nan")
+    assert res.returncode == 2
+    assert res.stderr.startswith("usage error: line 5: literal has unitarity defect nan")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("text, message", [
+    ("players 2 3\n", "line 1: players takes exactly one integer"),
+    ("mode nih\nplayers 2\nbits 1 2\n", "line 3: bits takes exactly one integer"),
+    ("mode nih\nplayers 2\nbits 1\ndims 2 2\nturn 1 store 1 2\n",
+     "line 5: generator takes exactly one integer argument"),
+], ids=["players", "bits", "generator"])
+def test_one_integer_message_names_its_directive(tmp_path, capsys, text, message):
+    scn = tmp_path / "s.scn"
+    scn.write_text(text)
+    assert cli.main(["nih-extract", "--scenario", str(scn), "--function", "const1",
+                     "--n", "1", "--k", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_nih_extract_truth_table_needs_scenario(tmp_path):

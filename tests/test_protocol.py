@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import random
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from nqtensor import config
+from conftest import per_input_families
+from nqtensor import config, protocol
 from nqtensor.errors import (
     ArityMismatch,
     CoefficientNotFound,
@@ -51,6 +53,7 @@ from nqtensor.protocol import (
     simulate_dense,
     strong_nondet_check,
     trivial_eq_relay_spec,
+    unitarity_defect,
 )
 from nqtensor.scalar_linalg import exact
 from nqtensor.tensor_core import Decomposition, flat_offset
@@ -308,6 +311,54 @@ def test_non_unitary_turn_rejected():
     spec = ProtocolSpec("nih", 2, 1, (2, 2), (Turn(1, bad),))
     with pytest.raises(NonUnitary):
         simulate_branches(spec, (0, 0))
+
+
+def _product_defect(m):
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
+def _permutation_matrices():
+    for size in (2, 3, 4):
+        for perm in itertools.permutations(range(size)):
+            m = np.zeros((size, size), dtype=np.complex128)
+            m[list(perm), range(size)] = 1.0
+            yield m
+    for j in range(1, 5):
+        yield gen_store(16, j)(None)
+    compare = gen_compare_and_flag(16, 2)
+    for own in range(4):
+        yield compare(own)
+
+
+def test_permutation_unitarity_defect_equals_the_product():
+    # the structural check returns what the float product gives: exactly 0
+    matrices = list(_permutation_matrices())
+    assert len(matrices) == 2 + 6 + 24 + 4 + 4
+    for m in matrices:
+        assert unitarity_defect(m) == _product_defect(m) == 0.0
+
+
+@pytest.mark.parametrize("entry, defect", [
+    (np.nan, None), (1 + 1e-12, 2e-12), (-1.0, 0.0), (2.0, 3.0), (1j, 0.0)])
+def test_near_permutation_takes_the_product(entry, defect):
+    # the 1 at (1, 0) of a 4 x 4 permutation matrix replaced
+    m = np.eye(4, dtype=np.complex128)[[2, 0, 3, 1]]
+    m[1, 0] = entry
+    got = unitarity_defect(m)
+    if defect is None:
+        assert np.isnan(got)
+    else:
+        assert got == _product_defect(m) == pytest.approx(defect, abs=1e-15)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]],  # five ones
+    [[1, 1, 0], [0, 0, 0], [0, 0, 1]],  # n ones, an empty row
+    [[1, 0, 0], [1, 0, 0], [0, 0, 1]],  # n ones, an empty column
+], ids=["five-ones", "empty-row", "empty-column"])
+def test_ones_off_a_permutation_take_the_product(rows):
+    m = np.array(rows, dtype=np.complex128)
+    assert unitarity_defect(m) == _product_defect(m) == 1.0
 
 
 @pytest.mark.parametrize("simulate", [simulate_branches, simulate_dense])
@@ -617,6 +668,134 @@ def test_relay_grouped_matrix_matches_dense_accepted_amplitudes():
         oracle[xs[0], xs[1] * 4 + xs[2]] = alpha @ accepted @ beta
     assert np.array_equal(res.grouped, oracle)
     assert np.count_nonzero(oracle) == 4
+
+
+# ---------------------------------------------------------------------------
+# premise sweep
+# ---------------------------------------------------------------------------
+
+H = 1 / math.sqrt(2)
+
+
+def _literal(rows):
+    return " ; ".join(" ".join(f"{complex(v).real!r}{complex(v).imag:+}i" for v in row)
+                      for row in rows)
+
+
+# the n = 1 relay with two literal turns: a Hadamard on player 2's local
+# qubit before anything else, and phases on player 1's (local, channel)
+# state after its write; neither changes which inputs accept
+MATRIX_RELAY_SCENARIO = "\n".join([
+    "mode nih", "players 3", "bits 1", "dims 2 2 4",
+    "turn 2 matrix " + _literal([[H, 0, H, 0], [0, H, 0, H], [H, 0, -H, 0], [0, H, 0, -H]]),
+    "turn 1 write-bit 1",
+    "turn 1 matrix " + _literal(np.diag([1, 1j, -1, -1j])),
+    "turn 3 store 1",
+    "turn 2 write-bit 1",
+    "turn 3 store 2",
+    "turn 3 compare-and-flag",
+]) + "\n"
+
+
+def _matrix_relay(tmp_path):
+    path = tmp_path / "matrix_relay.scn"
+    path.write_text(MATRIX_RELAY_SCENARIO)
+    return read_scenario(path)
+
+
+def _assert_same_families(spec, f):
+    families, ones = nih_families(spec, f)
+    oracle_families, oracle_ones = per_input_families(spec, f)
+    assert families.tobytes() == oracle_families.tobytes()
+    assert ones.tobytes() == oracle_ones.tobytes()
+    return families
+
+
+@pytest.mark.parametrize("make_spec, f", [
+    (lambda: trivial_eq_relay_spec(1), equality(1, 3)),
+    (lambda: trivial_eq_relay_spec(2), equality(2, 3)),
+    (lambda: constant_one_spec(1, 2), constant(1, 2, 1)),
+    (lambda: constant_one_spec(2, 3), constant(2, 3, 1)),
+    (lambda: constant_one_spec(1, 4), constant(1, 4, 1)),
+], ids=["relay_n1", "relay_n2", "const1_1_2", "const1_2_3", "const1_1_4"])
+def test_sweep_families_match_per_input_simulation(make_spec, f):
+    _assert_same_families(make_spec(), f)
+
+
+def test_sweep_families_with_matrix_turns(tmp_path):
+    families = _assert_same_families(_matrix_relay(tmp_path), equality(1, 3))
+    # the Hadamard and the phases reach the families: not a 0/1 array
+    assert np.any(families.imag != 0) and np.any(np.abs(families) == H)
+
+
+@seed(13)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(1, 6))
+def test_sweep_families_match_on_random_protocols(master_seed, k, ell):
+    _assert_same_families(random_protocol(master_seed, k=k, ell=ell), constant(1, k, 1))
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    build = protocol._turn_unitary
+
+    def counted(spec, idx, xs):
+        builds.append(idx)
+        return build(spec, idx, xs)
+
+    monkeypatch.setattr(protocol, "_turn_unitary", counted)
+    return builds
+
+
+@pytest.mark.parametrize("make_spec, f, expected", [
+    # 8 inputs x 5 turns rebuilt from the start would be 40
+    (lambda: trivial_eq_relay_spec(1), equality(1, 3), 16),
+    # 64 x 9 = 576
+    (lambda: trivial_eq_relay_spec(2), equality(2, 3), 108),
+    # one input-free turn, built once instead of at each of 64 inputs
+    (lambda: constant_one_spec(2, 3), constant(2, 3, 1), 1),
+    # players 1 then 2: 8 builds of turn 1 and 64 of turn 2, not 2 x 64
+    (lambda: random_protocol(3, k=2, ell=2, mode="nih", n=3), constant(3, 2, 1), 72),
+], ids=["relay_n1", "relay_n2", "const1_2_3", "random_3_2_2_n3"])
+def test_sweep_builds_only_changed_turns(monkeypatch, make_spec, f, expected):
+    spec = make_spec()
+    builds = _count_builds(monkeypatch)
+    nih_families(spec, f)
+    assert len(builds) == expected
+
+
+def test_sweep_resumes_after_the_unchanged_prefix(monkeypatch):
+    # relay n = 1 turns: write-bit x1, store, write-bit x2, store, compare x3;
+    # a re-run turn whose own input did not change keeps its unitary
+    builds = _count_builds(monkeypatch)
+    inputs = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 1, 1)]
+    states = list(protocol.sweep_branches(trivial_eq_relay_spec(1), inputs))
+    assert builds == [0, 1, 2, 3, 4, 4, 2, 0]
+    assert [s.accept_probability() for s in states] == [1.0, 0.0, 0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("make_spec, f, first", [
+    (lambda: trivial_eq_relay_spec(1), constant(1, 3, 1), (0, 0, 1)),
+    (lambda: trivial_eq_relay_spec(1), constant(1, 3, 0), (0, 0, 0)),
+    (lambda: trivial_eq_relay_spec(2), equality(2, 3), None),
+    (lambda: constant_one_spec(1, 3), equality(1, 3), (0, 0, 1)),
+], ids=["relay_vs_const1", "relay_vs_const0", "relay_n2_vs_eq", "const1_vs_eq"])
+def test_premise_violation_names_the_first_input(make_spec, f, first):
+    spec = make_spec()
+    if first is None:
+        # player 3 also flips the channel after compare-and-flag when its
+        # string is 3, so (0, 0, 3) accepts
+        flag = spec.turns[-1].make
+        flip = np.eye(32)[[i ^ 1 for i in range(32)]]
+        turn = Turn(3, lambda own: flip @ flag(own) if own == 3 else flag(own))
+        spec = dataclasses.replace(spec, turns=spec.turns[:-1] + (turn,))
+        first = (0, 0, 3)
+    message = f"protocol acceptance at {first} disagrees with {f.name}"
+    with pytest.raises(PremiseViolation) as swept:
+        nih_families(spec, f)
+    with pytest.raises(PremiseViolation) as oracle:
+        per_input_families(spec, f)
+    assert str(swept.value) == str(oracle.value) == message
 
 
 # ---------------------------------------------------------------------------
