@@ -26,7 +26,8 @@ Three views of a protocol live here:
 * a dense statevector simulator used as an independent cross-check;
 * the SVD route: compress one grouped half of a nondeterministic tensor into
   ceil(log2 r) qubits and read the acceptance amplitude off the factors; a
-  column half with no 1-input rejects from the exact tensor, not a float norm.
+  column half with no 1-input rejects from the exact tensor, not a float norm,
+  and a sweep builds each live column half's compressed state once.
 
 On top of the branch form sits the extraction pipeline: one sweep over every
 input checks the premise and keeps each input's accepted vector as a matrix
@@ -693,37 +694,51 @@ def build_nof_protocol(d: Decomposition, f: BooleanFunction) -> NofProtocol:
     )
 
 
-def run_nof(p: NofProtocol, xs, dummy: int = 0) -> AcceptanceResult:
-    """Execute the protocol algebra on one input.
+def sweep_nof(p: NofProtocol, inputs, dummy: int = 0):
+    """Run the protocol algebra at each input in turn; yield each input's
+    :class:`AcceptanceResult`, in order.
 
-    One side holds the trailing (column) half of the input.  A column
-    without a 1-input rejects with probability exactly 0, read off the exact
-    mask before any float work.  Otherwise that side prepares the compressed
-    state sigma * V |column-half>, keeping only the r live coordinates; the
-    other side applies U and projects onto its own (row) half.  The
-    resulting probability is |c|^2 |T[x]|^2 for the normalization c, which
-    is also computed analytically from the exact tensor entry; a vanishing
-    state on a live column raises ``NormalizationError``.  ``dummy`` indexes
-    the lifted mode and must be 0 on an unlifted protocol.
+    The inputs are not checked again (those of ``p.f.inputs()`` are valid by
+    construction); ``dummy`` indexes the lifted mode, must be 0 on an
+    unlifted protocol, and is checked before the first input.  One side
+    holds the trailing (column) half of the input.  A column without a
+    1-input rejects with probability exactly 0, read off the exact mask
+    before any float work.  Otherwise that side prepares the compressed
+    state c * sigma * V |column-half>, keeping only the r live coordinates;
+    the other side applies U and projects onto its own (row) half, for the
+    probability |c|^2 |T[x]|^2, also computed analytically from the exact
+    tensor entry.  The state and c depend only on the column, so the sweep
+    builds them once per column, from the operands a one-input run uses:
+    every value is that run's, bit for bit, and a vanishing state on a live
+    column raises ``NormalizationError`` at the same input.
     """
-    xs = p.f.check_input(xs)
     if not 0 <= dummy < (LIFT_LENGTH if p.lifted else 1):
         raise ArityMismatch(f"dummy index {dummy} out of range")
-    work = xs + (dummy,) if p.lifted else xs
-    row = flat_offset(p.work_dims[:p.split], work[:p.split])
-    col = flat_offset(p.work_dims[p.split:], work[p.split:])
-    if not p.live_columns[col]:
-        return AcceptanceResult(0.0, False, 0.0)
+    states = {}  # live column -> (compressed state, c)
+    for xs in inputs:
+        work = xs + (dummy,) if p.lifted else xs
+        row = flat_offset(p.work_dims[:p.split], work[:p.split])
+        col = flat_offset(p.work_dims[p.split:], work[p.split:])
+        if not p.live_columns[col]:
+            yield AcceptanceResult(0.0, False, 0.0)
+            continue
+        if col not in states:
+            phi = p.sigma[:p.r] * p.v[:p.r, col]
+            norm = float(np.linalg.norm(phi))
+            if norm == 0.0:
+                raise NormalizationError("compressed state vanished on a column with a 1-input")
+            c = 1.0 / norm
+            states[col] = (phi * c, c)
+        state, c = states[col]
+        prob = float(abs(p.u[row, :p.r] @ state) ** 2)
+        yield AcceptanceResult(prob, prob > config.ACCEPT_EPS,
+                               float(p.exact_tensor.entry(xs).abs2()) * c * c)
 
-    phi = p.sigma[:p.r] * p.v[:p.r, col]
-    norm = float(np.linalg.norm(phi))
-    if norm == 0.0:
-        raise NormalizationError("compressed state vanished on a column with a 1-input")
-    c = 1.0 / norm
-    amp = p.u[row, :p.r] @ (phi * c)
-    prob = float(abs(amp) ** 2)
-    analytic = float(p.exact_tensor.entry(xs).abs2()) * c * c
-    return AcceptanceResult(prob, prob > config.ACCEPT_EPS, analytic)
+
+def run_nof(p: NofProtocol, xs, dummy: int = 0) -> AcceptanceResult:
+    """Check one input, then run :func:`sweep_nof` over it alone: the
+    arithmetic of every sweep, bit for bit."""
+    return next(sweep_nof(p, (p.f.check_input(xs),), dummy))
 
 
 @dataclass(frozen=True)
@@ -737,14 +752,15 @@ class SweepReport:
 
 
 def strong_nondet_check(p: NofProtocol, dummy: int = 0) -> SweepReport:
-    """Exhaustive sweep of ``p.f``: accepted iff f = 1, plus probability extremes."""
+    """Exhaustive sweep of ``p.f``: accepted iff f = 1, plus probability
+    extremes; one :func:`sweep_nof`, so each column half's state is built
+    once."""
     min_accept = None
     max_reject = 0.0
     max_gap = 0.0
     wrong = []
     table = p.f.table()
-    for xs, value in zip(p.f.inputs(), table):
-        res = run_nof(p, xs, dummy=dummy)
+    for xs, value, res in zip(p.f.inputs(), table, sweep_nof(p, p.f.inputs(), dummy)):
         max_gap = max(max_gap, abs(res.probability - res.analytic_probability))
         if res.accepted != (value == 1):
             wrong.append(xs)

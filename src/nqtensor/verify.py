@@ -35,10 +35,10 @@ from .protocol import (
     coefficient_search,
     nih_families,
     random_protocol,
-    run_nof,
     simulate_branches,
     simulate_dense,
     strong_nondet_check,
+    sweep_nof,
     trivial_eq_relay_spec,
 )
 from .rank_bounds import gip_certificate, rank_bracket
@@ -197,10 +197,8 @@ def criterion_lift_neutrality(seed) -> CriterionResult:
         f, dec = from_name(name, n, k), FAMILIES[name].witness(n, k)
         proto = build_nof_protocol(dec, f)
         tag = f"{name}_n{n}_k{k}"
-        decisions = []
-        for dummy in (0, 1):
-            decisions.append(tuple(run_nof(proto, xs, dummy=dummy).accepted
-                                   for xs in f.inputs()))
+        decisions = [tuple(r.accepted for r in sweep_nof(proto, f.inputs(), dummy))
+                     for dummy in (0, 1)]
         rows.append(check_row(f"{tag}_dummy_neutral",
                               decisions[0] == decisions[1], True, "literature"))
         lifted = materialize(lift_order(dec))

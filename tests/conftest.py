@@ -15,6 +15,10 @@ arithmetic, and no command of the package needs them.
 ``per_input_families`` is ``protocol.nih_families`` with every input
 simulated from the first turn by its own ``simulate_branches``.
 
+``per_input_nof`` is the one-input NOF protocol algebra as ``run_nof``
+ran it before sweeps built each column half's state once: it checks the
+input and rebuilds the compressed state at every call.
+
 ``cli_env`` is the environment for a child ``python -m nqtensor``: the
 ``pythonpath`` pytest setting reaches only this process, so the child gets
 the package's ``src`` directory through ``PYTHONPATH``.
@@ -30,8 +34,8 @@ import numpy as np
 
 import nqtensor
 from nqtensor import config
-from nqtensor.errors import PremiseViolation
-from nqtensor.protocol import extract_families, simulate_branches
+from nqtensor.errors import ArityMismatch, NormalizationError, PremiseViolation
+from nqtensor.protocol import LIFT_LENGTH, extract_families, simulate_branches
 from nqtensor.scalar_linalg import (
     EC_ONE,
     EC_ZERO,
@@ -39,7 +43,7 @@ from nqtensor.scalar_linalg import (
     coerce_exact,
     parse_exact_scalar,
 )
-from nqtensor.tensor_core import DenseTensor
+from nqtensor.tensor_core import DenseTensor, flat_offset
 
 
 def cli_env() -> dict:
@@ -67,6 +71,27 @@ def per_input_families(spec, f):
         for a, v in zip(a_vecs, b_vecs):
             families[yz] += np.outer(a, v)
     return families, ones
+
+
+def per_input_nof(p, xs, dummy=0):
+    """(probability, accepted, analytic_probability) of ``p`` at ``xs``."""
+    xs = p.f.check_input(xs)
+    if not 0 <= dummy < (LIFT_LENGTH if p.lifted else 1):
+        raise ArityMismatch(f"dummy index {dummy} out of range")
+    work = xs + (dummy,) if p.lifted else xs
+    row = flat_offset(p.work_dims[:p.split], work[:p.split])
+    col = flat_offset(p.work_dims[p.split:], work[p.split:])
+    if not p.live_columns[col]:
+        return 0.0, False, 0.0
+    phi = p.sigma[:p.r] * p.v[:p.r, col]
+    norm = float(np.linalg.norm(phi))
+    if norm == 0.0:
+        raise NormalizationError("compressed state vanished on a column with a 1-input")
+    c = 1.0 / norm
+    amp = p.u[row, :p.r] @ (phi * c)
+    prob = float(abs(amp) ** 2)
+    analytic = float(p.exact_tensor.entry(xs).abs2()) * c * c
+    return prob, prob > config.ACCEPT_EPS, analytic
 
 
 def exact_det(entries):

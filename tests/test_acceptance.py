@@ -113,6 +113,25 @@ def test_criterion_7_lift_neutrality(suite):
     _check(suite, "criterion-7")
 
 
+def test_criterion_7_sweeps_once_per_dummy(monkeypatch):
+    # each case decides every input from one sweep per dummy, not from a
+    # one-input run (which also goes through protocol.sweep_nof) per input
+    sweeps = []
+    sweep = protocol.sweep_nof
+
+    def counted(p, inputs, dummy=0):
+        inputs = tuple(inputs)
+        sweeps.append((p.f.name, p.f.n, dummy, len(inputs)))
+        return sweep(p, inputs, dummy)
+
+    monkeypatch.setattr(protocol, "sweep_nof", counted)
+    monkeypatch.setattr(verify, "sweep_nof", counted)
+    assert verify.criterion_lift_neutrality(SEED).passed
+    assert sweeps == [(name, n, dummy, 2 ** (3 * n))
+                      for name, n in (("eq", 1), ("eq", 2), ("hamming_neq1", 2))
+                      for dummy in (0, 1)]
+
+
 def test_criterion_8_branch_fidelity(suite):
     res = _check(suite, "criterion-8")
     rows = _row_map(res)

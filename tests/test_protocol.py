@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import per_input_families
+from conftest import per_input_families, per_input_nof
 from nqtensor import config, protocol
 from nqtensor.errors import (
     ArityMismatch,
@@ -21,15 +21,18 @@ from nqtensor.errors import (
     SizeCapExceeded,
 )
 from nqtensor.functions import (
+    FAMILIES,
     constant,
     eq_nondet_decomposition,
     equality,
+    from_name,
     gip,
     gip_nondet_decomposition,
     hamming_neq1,
     hamming_nondet_decomposition,
 )
 from nqtensor.protocol import (
+    LIFT_LENGTH,
     ProtocolSpec,
     Turn,
     _permutation,
@@ -52,6 +55,7 @@ from nqtensor.protocol import (
     simulate_branches,
     simulate_dense,
     strong_nondet_check,
+    sweep_nof,
     trivial_eq_relay_spec,
     unitarity_defect,
 )
@@ -533,6 +537,102 @@ def test_normalization_error_on_rank_undercount():
     crippled = dataclasses.replace(p, r=0)
     with pytest.raises(NormalizationError):
         run_nof(crippled, (0, 0, 0))
+
+
+_NOF_CASES = [(name, n, k) for name in ("eq", "hamming_neq1")
+              for (n, k) in ((1, 3), (2, 3), (3, 3), (1, 4), (2, 4))]
+
+
+def _nof_protocol(name, n, k):
+    # no GIP witness is registered in FAMILIES
+    witness = gip_nondet_decomposition if name == "gip" else FAMILIES[name].witness
+    return build_nof_protocol(witness(n, k), from_name(name, n, k))
+
+
+def _hexed(prob, accepted, analytic):
+    return prob.hex(), accepted, analytic.hex()
+
+
+def _dummies(p):
+    return range(LIFT_LENGTH) if p.lifted else (0,)
+
+
+@pytest.mark.parametrize("name,n,k", _NOF_CASES + [("gip", 2, 4)])
+def test_sweep_matches_per_input_oracle_bit_for_bit(name, n, k):
+    p = _nof_protocol(name, n, k)
+    table = p.f.table()
+    for dummy in _dummies(p):
+        expect = [per_input_nof(p, xs, dummy) for xs in p.f.inputs()]
+        swept = [dataclasses.astuple(r) for r in sweep_nof(p, p.f.inputs(), dummy)]
+        assert [_hexed(*r) for r in swept] == [_hexed(*r) for r in expect]
+        assert [_hexed(*dataclasses.astuple(run_nof(p, xs, dummy)))
+                for xs in p.f.inputs()] == [_hexed(*r) for r in expect]
+        rep = strong_nondet_check(p, dummy)
+        ones = [r[0] for r, v in zip(expect, table) if v == 1]
+        zeros = [r[0] for r, v in zip(expect, table) if v == 0]
+        assert rep.min_accept_probability.hex() == min(ones).hex()
+        assert rep.max_reject_probability.hex() == max(zeros, default=0.0).hex()
+        assert rep.max_sim_analytic_gap.hex() == max(abs(a - b) for a, _, b in expect).hex()
+        assert rep.passed and rep.total_inputs == len(table)
+
+
+@pytest.mark.parametrize("name,n,k", [("eq", 2, 4), ("hamming_neq1", 2, 3), ("eq", 3, 3)])
+def test_sweep_builds_each_live_column_state_once(name, n, k, monkeypatch):
+    p = _nof_protocol(name, n, k)
+    norm = np.linalg.norm
+    calls = []
+
+    def counted(x, *args, **kwargs):
+        calls.append(x)
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    for dummy in _dummies(p):
+        calls.clear()
+        assert strong_nondet_check(p, dummy).passed
+        # the sweep visits the columns whose lifted index is the dummy
+        assert len(calls) == int(p.live_columns[dummy::LIFT_LENGTH if p.lifted else 1].sum())
+
+
+def _zero_live_column(p, dummy, pos):
+    """``p`` with V zeroed on the column of the input at ``pos`` (a 1-input),
+    and that input."""
+    xs = next(itertools.islice(p.f.inputs(), pos, None))
+    assert p.f.value(xs) == 1
+    work = xs + (dummy,) if p.lifted else xs
+    v = p.v.copy()
+    v[:, flat_offset(p.work_dims[p.split:], work[p.split:])] = 0
+    return dataclasses.replace(p, v=v), xs
+
+
+@pytest.mark.parametrize("name,n,k,dummy", [("eq", 2, 4, 0), ("hamming_neq1", 2, 3, 1)])
+def test_vanishing_live_column_raises_at_the_same_input(name, n, k, dummy):
+    p = _nof_protocol(name, n, k)
+    # the last 1-input's column: the sweep runs many inputs before it
+    broken, xs = _zero_live_column(p, dummy, len(p.f.table()) - 1 - p.f.table()[::-1].index(1))
+    with pytest.raises(NormalizationError):
+        run_nof(broken, xs, dummy)
+    with pytest.raises(NormalizationError):
+        strong_nondet_check(broken, dummy)
+    ran, swept = [], []
+    with pytest.raises(NormalizationError):
+        for inp in broken.f.inputs():
+            ran.append(per_input_nof(broken, inp, dummy))
+    with pytest.raises(NormalizationError):
+        for res in sweep_nof(broken, broken.f.inputs(), dummy):
+            swept.append(dataclasses.astuple(res))
+    assert len(ran) > 1 and [_hexed(*r) for r in swept] == [_hexed(*r) for r in ran]
+
+
+def test_out_of_range_dummy_raises_before_the_first_input(monkeypatch):
+    # the first 1-input would raise NormalizationError if it ran
+    broken, _ = _zero_live_column(_nof_protocol("hamming_neq1", 2, 3), 0, 0)
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: pytest.fail("an input ran"))
+    for dummy in (-1, LIFT_LENGTH):
+        with pytest.raises(ArityMismatch):
+            strong_nondet_check(broken, dummy)
+        with pytest.raises(ArityMismatch):
+            next(sweep_nof(broken, broken.f.inputs(), dummy))
 
 
 def test_cost_formula_is_structural():
