@@ -14,6 +14,10 @@ Built-in families (the ``FAMILIES`` registry pairs each with the tensor that
 * ``gip``           — parity of the positions where all k players hold a 1.
 * ``hamming_neq1``  — 1 iff the Hamming weight of the bitwise AND of all
                       strings differs from 1.
+
+Every witness is a sum of terms that are one 0/1 indicator on every mode,
+with a coefficient on mode 1; a function h of the AND gets one term per
+nonzero coefficient of h's Möbius transform (:func:`and_decomposition`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .tensor_core import (
     DenseTensor,
     check_size_cap,
     group_matrize,
-    superdiagonal_decomposition,
 )
 
 # ---------------------------------------------------------------------------
@@ -175,52 +178,56 @@ def inner_product_matrix(n: int) -> DenseTensor:
     return group_matrize(t, 1)
 
 
+def _indicator_decomposition(side: int, k: int, terms) -> Decomposition:
+    """One rank-1 term per ``(coeff, members)`` pair: the 0/1 indicator of
+    ``members`` (one truth value per index) on every mode, times ``coeff``
+    on mode 1.  The size cap is checked before any term is built."""
+    check_size_cap((side,) * k)
+    out = []
+    for coeff, members in terms:
+        indicator = tuple(EC_ONE if m else EC_ZERO for m in members)
+        scaled = tuple(coeff if m else EC_ZERO for m in members)
+        out.append((scaled,) + (indicator,) * (k - 1))
+    return Decomposition((side,) * k, tuple(out))
+
+
 def eq_nondet_decomposition(n: int, k: int) -> Decomposition:
     """The superdiagonal witness for equality: one term e_x^(x)k per string."""
-    check_size_cap((2 ** n,) * k)
-    return superdiagonal_decomposition(2 ** n, [EC_ONE] * (2 ** n), k)
+    side = 2 ** n
+    return _indicator_decomposition(
+        side, k, ((EC_ONE, [x == y for y in range(side)]) for x in range(side)))
+
+
+def and_decomposition(n: int, k: int, h) -> Decomposition:
+    """``h(x_1 & ... & x_k) = sum_S c_S prod_i [x_i contains S]`` for any
+    integer h on masks, c being h's Möbius transform over subsets, computed
+    in place over the 2^n masks: one term per nonzero ``c_S``, in descending
+    mask order."""
+    side = 2 ** n
+
+    def terms():  # lazy: the size cap is checked before h sees a mask
+        c = [h(a) for a in range(side)]
+        for bit in (1 << j for j in range(n)):
+            for a in range(side):
+                if a & bit:
+                    c[a] -= c[a ^ bit]
+        for s in reversed(range(side)):
+            if c[s]:
+                yield exact(c[s]), [x & s == s for x in range(side)]
+
+    return _indicator_decomposition(side, k, terms())
 
 
 def hamming_nondet_decomposition(n: int, k: int) -> Decomposition:
-    """n+1 rank-1 terms materializing to |x_1 & ... & x_k| - 1.
-
-    For each position j there is one term whose mode-i vector indicates "bit j
-    of x_i is 1"; the extra term is the all-ones outer product scaled by -1.
-    The sum is zero exactly where the AND has weight 1, i.e. on the 0-inputs
-    of ``hamming_neq1``.
-    """
-    side = 2 ** n
-    check_size_cap((side,) * k)
-    terms = []
-    for j in range(1, n + 1):
-        mask = 1 << (n - j)
-        indicator = tuple(EC_ONE if (x & mask) else EC_ZERO for x in range(side))
-        terms.append((indicator,) * k)
-    minus_ones = (exact(-1),) * side
-    ones = (EC_ONE,) * side
-    terms.append((minus_ones,) + (ones,) * (k - 1))
-    return Decomposition((side,) * k, tuple(terms))
+    """|x_1 & ... & x_k| - 1, zero on the 0-inputs of ``hamming_neq1``: +1 on
+    each position, then -1 on the empty set (n + 1 terms)."""
+    return and_decomposition(n, k, lambda a: bin(a).count("1") - 1)
 
 
 def gip_nondet_decomposition(n: int, k: int) -> Decomposition:
-    """2^n - 1 rank-1 terms materializing to the 0/1 GIP tensor.
-
-    By inclusion-exclusion, [|x_1 & ... & x_k| odd] is the sum over nonempty
-    position sets S of (-2)^(|S|-1) * prod_i [x_i contains S].  Each S is a
-    nonzero mask under the big-endian convention; its term's mode-i vector
-    indicates "x_i has a 1 at every position of S", and the coefficient sits
-    on mode 1.
-    """
-    side = 2 ** n
-    check_size_cap((side,) * k)
-    terms = []
-    for mask in range(1, side):
-        coeff = exact((-2) ** (bin(mask).count("1") - 1))
-        contains = [(x & mask) == mask for x in range(side)]
-        indicator = tuple(EC_ONE if c else EC_ZERO for c in contains)
-        scaled = tuple(coeff if c else EC_ZERO for c in contains)
-        terms.append((scaled,) + (indicator,) * (k - 1))
-    return Decomposition((side,) * k, tuple(terms))
+    """The 0/1 GIP tensor in 2^n - 1 terms: the Möbius transform of
+    ``|A| mod 2`` is ``c_S = (-2)^(|S|-1)`` on every nonempty set S."""
+    return and_decomposition(n, k, lambda a: bin(a).count("1") % 2)
 
 
 def hamming_nondet_tensor(n: int, k: int) -> DenseTensor:

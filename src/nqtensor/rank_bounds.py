@@ -7,7 +7,8 @@ edge is the best known decomposition.  The GIP certificate computes the slice
 ranks the summation bound is assembled from and the mode-1 unfolding rank,
 and reports both candidate bound expressions with flags rather than asserting
 either: the (2^n - 1)-term witness ``functions.gip_nondet_decomposition``
-refutes both as lower bounds on nrank(GIP) for n >= 2, k >= 3.
+(``functions.and_decomposition`` of ``|A| mod 2``) refutes both as lower
+bounds on nrank(GIP) for n >= 2, k >= 3.
 """
 
 from __future__ import annotations

@@ -198,19 +198,6 @@ def materialize(d: Decomposition) -> DenseTensor:
     return DenseTensor(d.dims, entries)
 
 
-def superdiagonal_decomposition(side: int, diag, order: int) -> Decomposition:
-    """One rank-1 term per nonzero diagonal entry: diag[j] * e_j^(x)order."""
-    diag = [coerce_exact(v) for v in diag]
-    terms = []
-    for j, val in enumerate(diag):
-        if val.is_zero():
-            continue
-        first = tuple(val if t == j else EC_ZERO for t in range(side))
-        unit = tuple(EC_ONE if t == j else EC_ZERO for t in range(side))
-        terms.append((first,) + (unit,) * (order - 1))
-    return Decomposition((side,) * order, tuple(terms))
-
-
 # ---------------------------------------------------------------------------
 # Sections
 # ---------------------------------------------------------------------------

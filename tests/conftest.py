@@ -19,6 +19,10 @@ simulated from the first turn by its own ``simulate_branches``.
 ran it before sweeps built each column half's state once: it checks the
 input and rebuilds the compressed state at every call.
 
+``mobius_oracle`` is the Möbius transform of a function on n-bit masks by
+inclusion-exclusion, summed directly over subsets, independently of the
+in-place transform in ``functions.and_decomposition``.
+
 ``cli_env`` is the environment for a child ``python -m nqtensor``: the
 ``pythonpath`` pytest setting reaches only this process, so the child gets
 the package's ``src`` directory through ``PYTHONPATH``.
@@ -182,6 +186,18 @@ def superdiagonal(side: int, diag, order: int) -> DenseTensor:
     entries = [coerce_exact(diag[idx[0]]) if len(set(idx)) == 1 else EC_ZERO
                for idx in product(range(side), repeat=order)]
     return DenseTensor(dims, entries)
+
+
+def mobius_oracle(n: int, h) -> dict:
+    """{S: c_S} for every mask S with c_S != 0, where
+    c_S = sum over T subset of S of (-1)^|S minus T| h(T)."""
+    out = {}
+    for s in range(2 ** n):
+        c = sum((-1) ** bin(s ^ t).count("1") * h(t)
+                for t in range(2 ** n) if t & s == t)
+        if c:
+            out[s] = c
+    return out
 
 
 def read_mat(path) -> DenseTensor:

@@ -1,11 +1,14 @@
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from conftest import superdiagonal, zero_tensor
+from conftest import mobius_oracle, superdiagonal, zero_tensor
 from nqtensor.errors import ArityMismatch, FormatError, SizeCapExceeded
 from nqtensor.functions import (
     FAMILIES,
+    and_decomposition,
     canonical_tensor,
     constant,
     eq_nondet_decomposition,
@@ -120,6 +123,14 @@ def test_size_cap(monkeypatch):
     canonical_tensor(equality(2, 3))
 
 
+@pytest.mark.parametrize("build", [eq_nondet_decomposition, hamming_nondet_decomposition,
+                                   gip_nondet_decomposition])
+def test_witness_checks_size_cap_before_any_term(build):
+    # at n = 40 one pass over the 2^n strings or masks would not finish
+    with pytest.raises(SizeCapExceeded):
+        build(40, 2)
+
+
 # ---------------------------------------------------------------------------
 # nondeterministic constructions
 # ---------------------------------------------------------------------------
@@ -166,6 +177,55 @@ def test_gip_decomposition_is_tight_witness(n, k):
     assert d.term_count == 2 ** n - 1
     br = rank_bracket(t, known=d)
     assert (br.lower, br.upper, br.tight) == (2 ** n - 1, 2 ** n - 1, True)
+
+
+def _and_terms(d, n):
+    """(mode-1 coefficient, mask) of each term of an AND witness, after
+    checking that every mode-2..k vector is the 0/1 superset indicator of
+    the mask and that mode 1 is the coefficient times that indicator."""
+    out = []
+    for first, *rest in d.terms:
+        mask = next(x for x, e in enumerate(rest[0]) if not e.is_zero())
+        indicator = tuple(exact(1 if x & mask == mask else 0) for x in range(2 ** n))
+        assert all(vec == indicator for vec in rest)
+        coeff = first[mask]
+        assert first == tuple(coeff * e for e in indicator)
+        out.append((coeff, mask))
+    return out
+
+
+@seed(23)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 4), st.data())
+def test_and_decomposition_matches_mobius_oracle(n, k, data):
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=2 ** n, max_size=2 ** n))
+    h = values.__getitem__
+    d = and_decomposition(n, k, h)
+    t = materialize(d)
+    for xs in product(range(2 ** n), repeat=k):
+        a = (1 << n) - 1
+        for x in xs:
+            a &= x
+        assert t.entry(xs) == exact(h(a))
+    oracle = mobius_oracle(n, h)
+    assert _and_terms(d, n) == [(exact(oracle[s]), s)
+                                for s in sorted(oracle, reverse=True)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gip_witness_coefficients_closed_form(n):
+    # one term per nonempty S, descending mask, coefficient (-2)^(|S|-1)
+    terms = _and_terms(gip_nondet_decomposition(n, 2), n)
+    assert terms == [(exact((-2) ** (bin(s).count("1") - 1)), s)
+                     for s in range(2 ** n - 1, 0, -1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hamming_witness_coefficients_closed_form(n):
+    # +1 on each position from the left, then -1 on the empty set: the
+    # order hamming_neq1_2_3.dec pins
+    terms = _and_terms(hamming_nondet_decomposition(n, 3), n)
+    assert terms == [(exact(1), 1 << (n - j)) for j in range(1, n + 1)] + [(exact(-1), 0)]
 
 
 def test_random_substitution_constant0_is_zero():

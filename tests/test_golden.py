@@ -1,8 +1,9 @@
 """Byte-identity of CLI reports and artifacts against checked-in golden copies.
 
 The commands are the README's command list, plus the hamming build/rank round
-trip, an NOF query on a column without a 1-input, and a k = 4 rank and probe
-whose unfoldings are ranked only until the answer is settled.  They run in-process
+trip, an NOF query on a column without a 1-input, a k = 4 rank and probe
+whose unfoldings are ranked only until the answer is settled, and two builds
+past n = 2 that pin the witness term order in the ``.dec`` files.  They run in-process
 from a scratch directory with relative ``--out`` directories, so the paths
 printed inside the reports are stable.  Every file
 under ``tests/golden/`` must match the file the commands wrote at the same
@@ -55,6 +56,8 @@ COMMANDS = (
     ("out", "verify-all --seed 1"),
     ("out", "rank --function eq --n 3 --k 4"),
     ("out", "probe --function gip --n 2 --k 4 --trials 8 --seed 5"),
+    ("out", "build --function hamming_neq1 --n 3 --k 3"),
+    ("out", "build --function eq --n 2 --k 4"),
 )
 
 

@@ -14,6 +14,7 @@ from nqtensor.errors import (
 )
 from nqtensor.functions import (
     BooleanFunction,
+    and_decomposition,
     canonical_tensor,
     constant,
     eq_nondet_decomposition,
@@ -292,10 +293,12 @@ def test_gip_n2_two_term_witness(k):
     # [x contains {1}] - [x contains {2}] on every mode: +1 when the AND of
     # the strings is 10, -1 when it is 01, and 0 when it is 00 or 11, so
     # the tensor has GIP's support and nrank(GIP) <= 2 at n = 2, well below
-    # the 0/1 tensor's tight bracket 2^n - 1 = 3
+    # the 0/1 tensor's tight bracket 2^n - 1 = 3; as one h of the AND, it is
+    # h(10) = 1, h(01) = -1 and 0 elsewhere
+    d = and_decomposition(2, k, lambda a: {0b10: 1, 0b01: -1}.get(a, 0))
     has_1 = tuple(exact(1 if x & 0b10 else 0) for x in range(4))
     has_2 = tuple(exact(1 if x & 0b01 else 0) for x in range(4))
-    d = Decomposition((4,) * k, (
+    assert d == Decomposition((4,) * k, (
         (has_1,) * k,
         (tuple(v * exact(-1) for v in has_2),) + (has_2,) * (k - 1),
     ))

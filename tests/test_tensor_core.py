@@ -25,7 +25,6 @@ from nqtensor.tensor_core import (
     materialize,
     read_dec,
     read_tsr,
-    superdiagonal_decomposition,
     tensor_slice,
     unfold,
     write_dec,
@@ -66,7 +65,7 @@ def test_materialize_single_term_is_outer_product():
 
 
 def test_materialize_diagonal_terms_reproduce_superdiagonal():
-    d = superdiagonal_decomposition(2, [1, 1], 3)
+    d = eq_nondet_decomposition(1, 3)
     assert d.term_count == 2
     assert materialize(d) == superdiagonal(2, [1, 1], 3)
 
@@ -122,9 +121,11 @@ def test_materialize_is_sparse_over_term_support():
 
 
 def test_materialize_checks_size_cap(monkeypatch):
+    # built under the default cap, so the cap that fires is materialize's
+    d = eq_nondet_decomposition(2, 3)
     monkeypatch.setenv("NQTENSOR_SIZE_CAP", "32")
     with pytest.raises(SizeCapExceeded):
-        materialize(superdiagonal_decomposition(4, [1] * 4, 3))
+        materialize(d)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +281,7 @@ def test_lift_single_term_constant_slices():
 
 
 def test_lift_preserves_term_count():
-    d = superdiagonal_decomposition(2, [1, 1], 3)
+    d = eq_nondet_decomposition(1, 3)
     lifted = lift_order(d)
     assert lifted.term_count == 2
     assert lifted.order == 4
@@ -296,7 +297,7 @@ def test_lift_then_group_matrize_rank_bound():
 
 
 def test_lift_length_configurable():
-    d = superdiagonal_decomposition(2, [1, 1], 2)
+    d = eq_nondet_decomposition(1, 2)
     lifted = lift_order(d, length=3)
     assert materialize(lifted).dims == (2, 2, 3)
 
