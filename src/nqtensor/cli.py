@@ -1,8 +1,10 @@
 """Command-line surface.
 
-Every command writes a TSV report (and any artifacts) into --out and prints
-the report to stdout.  Exit codes: 0 all asserted rows pass, 1 a check
-failed, 2 usage or file-format errors.
+Every command writes a TSV report (and any artifacts) into --out through the
+one line writer and prints the report to stdout (``verify-all`` prints one
+line per criterion instead).  ``build``, ``rank`` and ``unfold`` take their
+tensor from one resolver, :func:`_tensor_source`.  Exit codes: 0 all
+asserted rows pass, 1 a check failed, 2 usage or file-format errors.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .protocol import (
     trivial_eq_relay_spec,
 )
 from .rank_bounds import gip_certificate, nrank_probe, rank_bracket
-from .reports import FAIL, INFO, SKIP, Row, bound_row, check_row, render_tsv, write_tsv
-from .scalar_linalg import exact_rank, write_mat
+from .reports import FAIL, INFO, SKIP, Row, bound_row, check_row, render_tsv
+from .scalar_linalg import exact_rank, write_lines, write_mat
 from .tensor_core import read_dec, read_tsr, unfold, write_dec, write_tsr
 from .verify import GIP_INSTANCES, run_verify_all
 
@@ -52,26 +54,41 @@ def _gip_function(n, k):
     return from_name("gip", n, k)
 
 
-def _family_tensor(f):
-    """The tensor ``build`` writes and ``rank`` brackets, its witness (or
-    None), and the rows that name a nondeterministic tensor."""
+def _tensor_source(args, witness=True):
+    """The tensor that ``build`` writes, ``rank`` brackets and ``unfold``
+    unfolds, its witness (None if it has none or ``witness`` is false), the
+    rows that name a nondeterministic tensor, and the report stem.  ``--tsr``
+    and ``--dec`` give them from files, else the function's ``FAMILIES`` entry.
+    """
+    tsr, dec_path = getattr(args, "tsr", None), getattr(args, "dec", None)
+    if dec_path and not tsr:
+        raise UsageError("--dec requires --tsr")
+    if tsr:
+        return (read_tsr(tsr), read_dec(dec_path) if dec_path else None, [],
+                os.path.splitext(os.path.basename(tsr))[0])
+    f = _load_function(args)
+    stem = f"{f.name}_{f.n}_{f.k}"
     family = FAMILIES.get(f.name)
     if family is None:
-        return canonical_tensor(f), None, []
+        return canonical_tensor(f), None, [], stem
     t = family.tensor(f)
-    dec = family.witness(f.n, f.k) if family.witness else None
+    dec = family.witness(f.n, f.k) if witness and family.witness else None
     label = [Row("tensor", "nondet_witness", "-", "direct", INFO)] if family.nondet else []
-    return t, dec, label
+    return t, dec, label, stem
+
+
+def _write_report(out_dir, name, text) -> str:
+    """Write the rendered report ``text`` to ``out_dir/name.tsv``; its path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name + ".tsv")
+    write_lines(path, text.split("\n")[:-1])
+    return path
 
 
 def _emit(args, stem, rows) -> int:
     text = render_tsv(rows)
     sys.stdout.write(text)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, stem + ".tsv")
-    with open(path, "w") as fh:
-        fh.write(text)
+    path = _write_report(args.out, stem, text)
     if any(r.verdict == FAIL for r in rows):
         raise CheckFailure(f"failing rows in {path}")
     return 0
@@ -83,10 +100,8 @@ def _emit(args, stem, rows) -> int:
 
 
 def cmd_build(args) -> int:
-    f = _load_function(args)
-    t, dec, label = _family_tensor(f)
+    t, dec, label, stem = _tensor_source(args)
     os.makedirs(args.out, exist_ok=True)
-    stem = f"{f.name}_{f.n}_{f.k}"
     tsr_path = os.path.join(args.out, stem + ".tsr")
     write_tsr(tsr_path, t)
     rows = [Row("tensor_file", tsr_path, "-", "direct", INFO)] + label
@@ -99,17 +114,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    if args.dec and not args.tsr:
-        raise UsageError("--dec requires --tsr")
-    if args.tsr:
-        t = read_tsr(args.tsr)
-        dec = read_dec(args.dec) if args.dec else None
-        stem = os.path.splitext(os.path.basename(args.tsr))[0]
-        label = []
-    else:
-        f = _load_function(args)
-        t, dec, label = _family_tensor(f)
-        stem = f"{f.name}_{f.n}_{f.k}"
+    t, dec, label, stem = _tensor_source(args)
     br = rank_bracket(t, known=dec)
     rows = label + [
         Row("bracket_lower", br.lower, "-", "derived", INFO),
@@ -120,20 +125,14 @@ def cmd_rank(args) -> int:
 
 
 def cmd_unfold(args) -> int:
-    if args.tsr:
-        t = read_tsr(args.tsr)
-        stem = os.path.splitext(os.path.basename(args.tsr))[0]
-    else:
-        f = _load_function(args)
-        t = canonical_tensor(f)
-        stem = f"{f.name}_{f.n}_{f.k}"
+    t, _, label, stem = _tensor_source(args, witness=False)
     if not 1 <= args.mode <= t.order:
         raise UsageError(f"--mode must be in 1..{t.order}")
     m = unfold(t, args.mode)
     os.makedirs(args.out, exist_ok=True)
     mat_path = os.path.join(args.out, f"{stem}_mode{args.mode}.mat")
     write_mat(mat_path, m)
-    rows = [
+    rows = label + [
         Row("unfolding_file", mat_path, "-", "direct", INFO),
         Row("unfolding_shape", f"{m.rows}x{m.cols}", "-", "direct", INFO),
         Row("unfolding_rank", exact_rank(m), "-", "derived", INFO),
@@ -274,9 +273,7 @@ def cmd_verify_all(args) -> int:
     results, rows, ok = run_verify_all(args.seed, instances)
     for res in results:
         print(f"{res.key} {res.title}: {'PASS' if res.passed else 'FAIL'}")
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "verify_all.tsv")
-    write_tsv(path, rows)
+    path = _write_report(args.out, "verify_all", render_tsv(rows))
     print(f"report: {path}")
     if not ok:
         raise CheckFailure("one or more criteria failed")

@@ -7,6 +7,8 @@ overridden through the ``NQTENSOR_SIZE_CAP`` environment variable.
 
 import os
 
+from .errors import UsageError
+
 # Dense tensors refuse to materialize beyond this many entries.
 DEFAULT_SIZE_CAP = 2 ** 24
 
@@ -36,8 +38,8 @@ def size_cap() -> int:
         return DEFAULT_SIZE_CAP
     try:
         value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"NQTENSOR_SIZE_CAP must be an integer, got {raw!r}") from exc
+    except ValueError:
+        raise UsageError(f"NQTENSOR_SIZE_CAP must be an integer, got {raw!r}") from None
     if value <= 0:
-        raise ValueError("NQTENSOR_SIZE_CAP must be positive")
+        raise UsageError(f"NQTENSOR_SIZE_CAP must be positive, got {raw!r}")
     return value

@@ -534,6 +534,7 @@ _GENERATOR_PARSERS = {
     "compare-and-flag": lambda d, n, args, line: gen_compare_and_flag(d, n),
     "matrix": lambda d, n, args, line: gen_matrix_literal(d, _parse_matrix(args, line)),
 }
+_NO_ARGUMENT = ("flip-channel", "compare-and-flag")
 
 
 def _one_int(args, line, message="generator takes exactly one integer argument"):
@@ -605,6 +606,8 @@ def read_scenario(path) -> ProtocolSpec:
         if gname not in _GENERATOR_PARSERS:
             known = ", ".join(sorted(_GENERATOR_PARSERS))
             raise FormatError(f"unknown generator {gname!r}; known: {known}", lineno)
+        if gname in _NO_ARGUMENT and toks[2:]:
+            raise FormatError(f"{gname} takes no argument", lineno)
         parse = _GENERATOR_PARSERS[gname]
         try:
             turn = Turn(player, parse(dims[player - 1], n, toks[2:], lineno))

@@ -5,7 +5,8 @@ Every checkable quantity in the workbench is reported as one row of
 the expected value comes from: ``literature`` for published values,
 ``derived`` for values computed by an independent oracle, ``direct`` for
 arithmetic that needs no oracle.  TSV keeps the reports diffable, which is
-what the determinism contract is pinned on.
+what the determinism contract is pinned on.  :func:`render_tsv` renders a
+report once; the command layer writes it with ``scalar_linalg.write_lines``.
 """
 
 from __future__ import annotations
@@ -71,8 +72,3 @@ def render_tsv(rows) -> str:
             r.verdict,
         )))
     return "\n".join(lines) + "\n"
-
-
-def write_tsv(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_tsv(rows))

@@ -19,11 +19,12 @@ Two parallel scalar worlds are kept deliberately separate:
   :func:`to_float` makes one from an exact matrix, and :func:`svd` checks
   that its entries are finite and returns read-only factors.
 
-Every text file goes through one line reader and one line writer
-(:func:`read_lines`, :func:`write_lines`): a reader consumes or rejects each
-nonblank line by its 1-based number.  An exact matrix is written to the
-``.mat`` text format, whose ``p/q`` rational tokens (:func:`format_rational`,
-:func:`parse_rational`) the ``.tsr`` and ``.dec`` formats share.  Exact
+Every text file, TSV reports included, goes through one line reader and one
+line writer (:func:`read_lines`, :func:`write_lines`): a reader consumes or
+rejects each nonblank line by its 1-based number.  An exact matrix is written
+to the ``.mat`` text format, whose ``p/q`` rational tokens
+(:func:`format_rational`, :func:`parse_rational`) the ``.tsr`` and ``.dec``
+formats share.  Exact
 values are immutable after construction and safe to share across workers.
 """
 

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from conftest import cli_env, read_mat
-from nqtensor import cli, verify
+from nqtensor import cli, functions, verify
+from nqtensor.functions import FAMILIES
 from nqtensor.reports import FAIL, Row
 from nqtensor.tensor_core import read_dec, read_tsr
 from nqtensor.verify import CriterionResult
@@ -75,6 +76,45 @@ def test_unfold_writes_mat(tmp_path):
     m = read_mat(out / "gip_2_3_mode1.mat")
     assert (m.rows, m.cols) == (4, 16)
     assert "unfolding_rank\t3" in res.stdout
+
+
+def _report(path):
+    """``{quantity: computed}`` of a TSV report."""
+    return dict(line.split("\t")[:2] for line in path.read_text().splitlines()[1:])
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (2, 4)])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_build_rank_and_unfold_see_one_tensor(tmp_path, capsys, name, n, k):
+    # unfold --function unfolds the tensor build writes, and a tight rank
+    # bracket is the largest of its unfolding ranks
+    stem, flags = f"{name}_{n}_{k}", ["--function", name, "--n", str(n), "--k", str(k)]
+    assert cli.main(["build", *flags, "--out", str(tmp_path / "b")]) == 0
+    assert cli.main(["rank", *flags, "--out", str(tmp_path / "r")]) == 0
+    ranks = []
+    for mode in range(1, k + 1):
+        m = ["--mode", str(mode)]
+        assert cli.main(["unfold", *flags, *m, "--out", str(tmp_path / "f")]) == 0
+        assert cli.main(["unfold", "--tsr", str(tmp_path / "b" / f"{stem}.tsr"), *m,
+                         "--out", str(tmp_path / "t")]) == 0
+        mat = f"{stem}_mode{mode}.mat"
+        assert (tmp_path / "f" / mat).read_bytes() == (tmp_path / "t" / mat).read_bytes()
+        report = _report(tmp_path / "f" / f"unfold_{stem}_mode{mode}.tsv")
+        ranks.append(int(report["unfolding_rank"]))
+    bracket = _report(tmp_path / "r" / f"rank_{stem}.tsv")
+    if bracket["bracket_tight"] == "true":
+        assert int(bracket["bracket_lower"]) == max(ranks)
+
+
+def test_unfold_builds_no_witness(tmp_path, capsys, monkeypatch):
+    def refuse(n, k):
+        raise AssertionError("unfold built a witness")
+
+    for name in ("eq_nondet_decomposition", "hamming_nondet_decomposition"):
+        monkeypatch.setattr(functions, name, refuse)
+    for name in ("eq", "hamming_neq1"):
+        assert cli.main(["unfold", "--function", name, "--n", "2", "--k", "3",
+                         "--out", str(tmp_path)]) == 0
 
 
 def test_gip_cert_command(tmp_path):
@@ -190,10 +230,14 @@ def test_malformed_tsr_or_dec_names_its_line(tmp_path, capsys, tsr, dec, line):
     ("nih", "dims 2 2\n# again\ndims 2 2", "turn 1 flip-channel", 6),
     # all ones: every entry of U^H U is 4, a unitarity defect of 4
     ("nih", "dims 2 2", "turn 1 matrix " + " ; ".join(["1+0i 1+0i 1+0i 1+0i"] * 4), 5),
+    # a generator that takes no argument rejects a stray token
+    ("nih", "dims 2 2", "turn 1 flip-channel 7 junk", 5),
+    ("nih", "dims 2 4", "turn 2 compare-and-flag 1 2 3", 5),
 ], ids=["zero-dim", "negative-dim", "store-slot-0", "cnot-slot-0", "ragged-matrix",
         "store-on-dim-3", "store-slot-3", "write-bit-2", "compare-and-flag-dim-2",
         "cnot-slot-2", "dims-count", "nih-only-generator-in-nof", "repeated-mode",
-        "repeated-dims", "non-unitary-matrix"])
+        "repeated-dims", "non-unitary-matrix", "flip-channel-argument",
+        "compare-and-flag-argument"])
 def test_malformed_scenario_names_its_line(tmp_path, capsys, mode, dims, turn, line):
     scn = tmp_path / "s.scn"
     scn.write_text(f"mode {mode}\nplayers 2\nbits 1\n{dims}\n{turn}\n")
@@ -238,6 +282,20 @@ def test_unknown_function_is_usage_error(tmp_path):
     res = run_cli("build", "--function", "nope", "--out", str(tmp_path))
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("cap, message", [
+    ("abc", "must be an integer, got 'abc'"),
+    ("0", "must be positive, got '0'"),
+])
+def test_bad_size_cap_is_usage_error(tmp_path, cap, message):
+    res = subprocess.run(
+        [sys.executable, "-m", "nqtensor", "rank", "--function", "eq", "--n", "1",
+         "--k", "3", "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**cli_env(), "NQTENSOR_SIZE_CAP": cap},
+    )
+    assert res.returncode == 2
+    assert res.stderr == f"usage error: NQTENSOR_SIZE_CAP {message}\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -2,18 +2,25 @@
 
 The commands are the README's command list, plus the hamming build/rank round
 trip, an NOF query on a column without a 1-input, a k = 4 rank and probe
-whose unfoldings are ranked only until the answer is settled, and two builds
-past n = 2 that pin the witness term order in the ``.dec`` files.  They run in-process
+whose unfoldings are ranked only until the answer is settled, two builds
+past n = 2 that pin the witness term order in the ``.dec`` files, and the
+hamming unfolding, which unfolds the same nondeterministic tensor that
+``build`` writes.  They run in-process
 from a scratch directory with relative ``--out`` directories, so the paths
 printed inside the reports are stable.  Every file
 under ``tests/golden/`` must match the file the commands wrote at the same
 relative path, byte for byte.  Rows that print SVD- or simulation-derived
 floats (those whose quantity ends with a ``FLOAT_ROWS`` name) are dropped from
 both sides first: their last digits depend on the BLAS build.
+
+``python tests/test_golden.py OUTDIR`` runs the same commands in ``OUTDIR``
+(which must not lie under ``tests/golden/``) and prints each exit code, so a
+change that moves a report can regenerate its golden files and name them.
 """
 
 import contextlib
 import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +65,7 @@ COMMANDS = (
     ("out", "probe --function gip --n 2 --k 4 --trials 8 --seed 5"),
     ("out", "build --function hamming_neq1 --n 3 --k 3"),
     ("out", "build --function eq --n 2 --k 4"),
+    ("out", "unfold --function hamming_neq1 --n 2 --k 3 --mode 1"),
 )
 
 
@@ -70,9 +78,8 @@ def _comparable(path: Path) -> bytes:
                    if not l.split("\t", 1)[0].endswith(FLOAT_ROWS)).encode()
 
 
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def run_commands(root: Path) -> dict:
+    """Run ``COMMANDS`` in ``root``; the exit code of each command."""
     (root / "relay.scn").write_text(RELAY)
     codes = {}
     with pytest.MonkeyPatch.context() as mp:
@@ -81,7 +88,13 @@ def workdir(tmp_path_factory):
             sink = io.StringIO()
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
                 codes[command] = cli.main(command.split() + ["--out", out])
-    return root, codes
+    return codes
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    return root, run_commands(root)
 
 
 def test_every_command_exits_zero(workdir):
@@ -95,3 +108,14 @@ def test_every_command_exits_zero(workdir):
 def test_matches_golden(workdir, rel):
     root, _ = workdir
     assert _comparable(root / rel) == _comparable(GOLDEN / rel)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tests/test_golden.py OUTDIR")
+    outdir = Path(sys.argv[1]).resolve()
+    if outdir.is_relative_to(GOLDEN.resolve()):
+        sys.exit(f"OUTDIR must not lie under {GOLDEN}")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for command, code in run_commands(outdir).items():
+        print(f"{code}\t{command}")

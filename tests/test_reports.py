@@ -1,6 +1,7 @@
 import pytest
 
 from nqtensor import config
+from nqtensor.errors import UsageError
 from nqtensor.reports import (
     FAIL,
     INFO,
@@ -47,10 +48,10 @@ def test_render_tsv_shape_and_determinism():
 
 def test_size_cap_env_validation(monkeypatch):
     monkeypatch.setenv("NQTENSOR_SIZE_CAP", "not-a-number")
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         config.size_cap()
     monkeypatch.setenv("NQTENSOR_SIZE_CAP", "-5")
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         config.size_cap()
     monkeypatch.delenv("NQTENSOR_SIZE_CAP")
     assert config.size_cap() == config.DEFAULT_SIZE_CAP
