@@ -52,7 +52,7 @@ from .tensor_core import (
     Decomposition,
     DenseTensor,
     group_matrize,
-    lift_order,
+    lift,
     materialize,
     tensor_slice,
     unfold,

@@ -2,8 +2,8 @@
 
 Every command writes a TSV report (and any artifacts) into --out through the
 one line writer and prints the report to stdout (``verify-all`` prints one
-line per criterion instead).  ``build``, ``rank`` and ``unfold`` take their
-tensor from one resolver, :func:`_tensor_source`.  Exit codes: 0 all
+line per criterion instead).  ``build``, ``rank``, ``unfold`` and ``protocol``
+take their tensor from one resolver, :func:`_tensor_source`.  Exit codes: 0 all
 asserted rows pass, 1 a check failed, 2 usage or file-format errors.
 """
 
@@ -55,26 +55,29 @@ def _gip_function(n, k):
 
 
 def _tensor_source(args, witness=True):
-    """The tensor that ``build`` writes, ``rank`` brackets and ``unfold``
-    unfolds, its witness (None if it has none or ``witness`` is false), the
-    rows that name a nondeterministic tensor, and the report stem.  ``--tsr``
-    and ``--dec`` give them from files, else the function's ``FAMILIES`` entry.
+    """The tensor that ``build`` writes, ``rank`` brackets, ``unfold``
+    unfolds and ``protocol`` compiles, its witness (None if it has none or
+    ``witness`` is false), the row that names a tensor with an entry other
+    than 0 or 1, the report stem, and the function (None for ``--tsr``).
+    ``--tsr`` and ``--dec`` give them from files, else the function's
+    ``FAMILIES`` entry, or its 0/1 tensor when it has none.
     """
     tsr, dec_path = getattr(args, "tsr", None), getattr(args, "dec", None)
     if dec_path and not tsr:
         raise UsageError("--dec requires --tsr")
     if tsr:
-        return (read_tsr(tsr), read_dec(dec_path) if dec_path else None, [],
-                os.path.splitext(os.path.basename(tsr))[0])
-    f = _load_function(args)
-    stem = f"{f.name}_{f.n}_{f.k}"
-    family = FAMILIES.get(f.name)
-    if family is None:
-        return canonical_tensor(f), None, [], stem
-    t = family.tensor(f)
-    dec = family.witness(f.n, f.k) if witness and family.witness else None
-    label = [Row("tensor", "nondet_witness", "-", "direct", INFO)] if family.nondet else []
-    return t, dec, label, stem
+        t = read_tsr(tsr)
+        dec = read_dec(dec_path) if dec_path else None
+        f, stem = None, os.path.splitext(os.path.basename(tsr))[0]
+    else:
+        f = _load_function(args)
+        stem = f"{f.name}_{f.n}_{f.k}"
+        family = FAMILIES.get(f.name)
+        t = family.tensor(f) if family else canonical_tensor(f)
+        dec = family.witness(f.n, f.k) if witness and family and family.witness else None
+    zero_one = all(e.im == 0 and e.re in (0, 1) for e in t.entries)
+    label = [] if zero_one else [Row("tensor", "nondet_witness", "-", "direct", INFO)]
+    return t, dec, label, stem, f
 
 
 def _write_report(out_dir, name, text) -> str:
@@ -100,7 +103,7 @@ def _emit(args, stem, rows) -> int:
 
 
 def cmd_build(args) -> int:
-    t, dec, label, stem = _tensor_source(args)
+    t, dec, label, stem, _ = _tensor_source(args)
     os.makedirs(args.out, exist_ok=True)
     tsr_path = os.path.join(args.out, stem + ".tsr")
     write_tsr(tsr_path, t)
@@ -114,7 +117,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    t, dec, label, stem = _tensor_source(args)
+    t, dec, label, stem, _ = _tensor_source(args)
     br = rank_bracket(t, known=dec)
     rows = label + [
         Row("bracket_lower", br.lower, "-", "derived", INFO),
@@ -125,7 +128,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_unfold(args) -> int:
-    t, _, label, stem = _tensor_source(args, witness=False)
+    t, _, label, stem, _ = _tensor_source(args, witness=False)
     if not 1 <= args.mode <= t.order:
         raise UsageError(f"--mode must be in 1..{t.order}")
     m = unfold(t, args.mode)
@@ -164,13 +167,8 @@ def cmd_gip_cert(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    f = _load_function(args)
-    family = FAMILIES.get(f.name)
-    if family is None or family.witness is None:
-        witnessed = " or ".join(sorted(name for name, fam in FAMILIES.items() if fam.witness))
-        raise UsageError(f"no built-in decomposition for {f.name}; "
-                         f"protocol commands need {witnessed}")
-    proto = build_nof_protocol(family.witness(f.n, f.k), f)
+    t, _, _, stem, f = _tensor_source(args, witness=False)
+    proto = build_nof_protocol(t, f)
     if not 0 <= args.lift_dummy < (LIFT_LENGTH if proto.lifted else 1):
         raise UsageError(f"--lift-dummy must be in 0..{LIFT_LENGTH - 1} when k is odd, "
                          "else 0")
@@ -181,7 +179,7 @@ def cmd_protocol(args) -> int:
                   "literature"),
         Row("lifted", proto.lifted, "-", "direct", INFO),
     ]
-    stem = f"nof_{f.name}_{f.n}_{f.k}"
+    stem = f"nof_{stem}"
     if args.protocol_cmd == "sweep":
         rep = strong_nondet_check(proto, dummy=args.lift_dummy)
         rows += [

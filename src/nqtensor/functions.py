@@ -102,7 +102,7 @@ def _and_weight(n: int, xs) -> int:
 
 
 def equality(n: int, k: int) -> BooleanFunction:
-    return BooleanFunction("eq", n, k, lambda xs: 1 if all(x == xs[0] for x in xs) else 0)
+    return BooleanFunction("eq", n, k, lambda xs: 1 if xs.count(xs[0]) == len(xs) else 0)
 
 
 def gip(n: int, k: int) -> BooleanFunction:
@@ -280,21 +280,16 @@ def _canonical(f: BooleanFunction) -> DenseTensor:
 class Family:
     """One built-in family: its function, its tensor and its witness.
 
-    ``tensor`` is what ``build`` writes and ``rank`` brackets, by default the
-    0/1 canonical tensor; ``witness``, when known, is a decomposition that
-    materializes to exactly that tensor.  Entries call their builders through
-    the module-level names, so rebinding a name (e.g. to trace it) reaches
-    the registry too.
+    ``tensor`` is what ``build`` writes, ``rank`` brackets and ``protocol``
+    compiles, by default the 0/1 canonical tensor; ``witness``, when known,
+    is a decomposition that materializes to exactly that tensor.  Entries
+    call their builders through the module-level names, so rebinding a name
+    (e.g. to trace it) reaches the registry too.
     """
 
     function: Callable[[int, int], BooleanFunction]
     tensor: Callable[[BooleanFunction], DenseTensor] = _canonical
     witness: Callable[[int, int], Decomposition] | None = None
-
-    @property
-    def nondet(self) -> bool:
-        """True when the tensor is a nondeterministic one, not the 0/1 tensor."""
-        return self.tensor is not _canonical
 
 
 FAMILIES = {

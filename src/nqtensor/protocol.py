@@ -24,10 +24,12 @@ Three views of a protocol live here:
   many inputs re-runs a turn only when what it or an earlier turn sees has
   changed, and builds an input-free turn once;
 * a dense statevector simulator used as an independent cross-check;
-* the SVD route: compress one grouped half of a nondeterministic tensor into
-  ceil(log2 r) qubits and read the acceptance amplitude off the factors; a
-  column half with no 1-input rejects from the exact tensor, not a float norm,
-  and a sweep builds each live column half's compressed state once.
+* the SVD route: compress one grouped half of any tensor with f's support
+  (its 0/1 tensor or a nondeterministic one), lifted by a constant dummy mode
+  when k is odd, into ceil(log2 r) qubits and read the acceptance amplitude
+  off the factors; a column half with no 1-input rejects from the exact
+  tensor, not a float norm, and a sweep builds each live column half's
+  compressed state once.
 
 On top of the branch form sits the extraction pipeline: one sweep over every
 input checks the premise and keeps each input's accepted vector as a matrix
@@ -70,15 +72,7 @@ from .scalar_linalg import (
     svd,
     to_float,
 )
-from .tensor_core import (
-    Decomposition,
-    DenseTensor,
-    check_size_cap,
-    flat_offset,
-    group_matrize,
-    lift_order,
-    materialize,
-)
+from .tensor_core import DenseTensor, check_size_cap, flat_offset, group_matrize, lift
 
 # ---------------------------------------------------------------------------
 # Unitary helpers
@@ -624,11 +618,11 @@ def read_scenario(path) -> ProtocolSpec:
 
 
 # ---------------------------------------------------------------------------
-# NOF protocol from a decomposition (SVD route)
+# NOF protocol from a tensor (SVD route)
 # ---------------------------------------------------------------------------
 
 
-# Length of the all-ones mode that makes an odd player count even.
+# Length of the dummy mode that makes an odd player count even.
 LIFT_LENGTH = 2
 
 
@@ -660,19 +654,19 @@ class AcceptanceResult:
     analytic_probability: float
 
 
-def build_nof_protocol(d: Decomposition, f: BooleanFunction) -> NofProtocol:
-    """Compile a decomposition into the grouped-SVD protocol.
+def build_nof_protocol(t: DenseTensor, f: BooleanFunction) -> NofProtocol:
+    """Compile ``t``, any exact tensor that is nonzero exactly on f's
+    1-inputs, into the grouped-SVD protocol.
 
-    Even player counts matrize at k/2 directly; odd ones first gain a dummy
-    mode carrying the all-ones vector (term count, and hence the rank
-    certificate, is preserved), making the order even.  The qubit cost is
+    Even player counts matrize at k/2 directly; odd ones first lift ``t`` by
+    a dummy mode on which it is constant (:func:`tensor_core.lift`, which
+    keeps its rank), making the order even.  The qubit cost is
     ceil(log2 r) + 1 where r is the numerical rank of the matrization.
     """
-    t = materialize(d)
     if not pattern_check(t, f):
-        raise PatternMismatch(f"decomposition does not match {f.name}")
+        raise PatternMismatch(f"tensor does not match {f.name}")
     lifted = f.k % 2 == 1
-    worked = materialize(lift_order(d, LIFT_LENGTH)) if lifted else t
+    worked = lift(t, LIFT_LENGTH) if lifted else t
     dims = worked.dims
     split = len(dims) // 2
     g = group_matrize(worked, split)

@@ -37,8 +37,10 @@ def check_row(quantity, computed, expected, source) -> Row:
 
 
 def bound_row(quantity, computed, low=None, high=None, source="derived") -> Row:
-    """Row asserting low <= computed <= high (either side optional)."""
-    ok = True
+    """Row asserting low <= computed <= high (either side optional); SKIP
+    when nothing was computed, e.g. the least acceptance probability of a
+    function with no 1-input."""
+    ok = computed is not None
     parts = []
     if low is not None:
         ok = ok and computed >= low
@@ -46,7 +48,8 @@ def bound_row(quantity, computed, low=None, high=None, source="derived") -> Row:
     if high is not None:
         ok = ok and computed <= high
         parts.append(f"<={fmt_value(high)}")
-    return Row(quantity, computed, " ".join(parts), source, PASS if ok else FAIL)
+    verdict = SKIP if computed is None else PASS if ok else FAIL
+    return Row(quantity, computed, " ".join(parts), source, verdict)
 
 
 def fmt_value(v) -> str:

@@ -35,7 +35,6 @@ from itertools import product
 from . import config
 from .errors import DimMismatch, FormatError, SizeCapExceeded
 from .scalar_linalg import (
-    EC_ONE,
     EC_ZERO,
     ExactComplex,
     coerce_exact,
@@ -271,14 +270,16 @@ def group_matrize(t: DenseTensor, split: int) -> DenseTensor:
 # ---------------------------------------------------------------------------
 
 
-def lift_order(d: Decomposition, length: int = 2) -> Decomposition:
-    """Append an all-ones vector of `length` to every term.
+def lift(t: DenseTensor, length: int = 2) -> DenseTensor:
+    """``t`` repeated along a new last mode of ``length``: T'(x, j) = T(x).
 
-    The materialized result repeats the original tensor along the new last
-    mode, so the term count (and with it the rank certificate) is unchanged.
+    Every slice at a fixed last index is ``t``, so the lift has t's rank (a
+    decomposition of t lifts term by term with an all-ones vector) and the
+    order goes up by one.  The size cap is checked on the lifted dims.
     """
-    ones = (EC_ONE,) * length
-    return Decomposition(d.dims + (length,), tuple(term + (ones,) for term in d.terms))
+    dims = t.dims + (length,)
+    check_size_cap(dims)
+    return DenseTensor(dims, [e for e in t.entries for _ in range(length)])
 
 
 # ---------------------------------------------------------------------------

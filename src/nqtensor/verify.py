@@ -30,6 +30,7 @@ from .functions import (
     random_nondet_substitution,
 )
 from .protocol import (
+    LIFT_LENGTH,
     build_nof_protocol,
     certify_families,
     coefficient_search,
@@ -44,7 +45,7 @@ from .protocol import (
 from .rank_bounds import gip_certificate, rank_bracket
 from .reports import FAIL, INFO, PASS, SKIP, Row, bound_row, check_row
 from .scalar_linalg import exact_rank
-from .tensor_core import lift_order, materialize, unfold
+from .tensor_core import lift, materialize, unfold
 
 GIP_INSTANCES = ((2, 3), (3, 3), (2, 4))
 
@@ -154,7 +155,7 @@ def criterion_nof_sweeps(seed) -> CriterionResult:
     rows = []
     for (name, n, k) in _SWEEP_CASES:
         f = from_name(name, n, k)
-        rep = strong_nondet_check(build_nof_protocol(FAMILIES[name].witness(n, k), f))
+        rep = strong_nondet_check(build_nof_protocol(FAMILIES[name].tensor(f), f))
         tag = f"{name}_n{n}_k{k}"
         rows.append(check_row(f"{tag}_decisions_ok", rep.passed, True, "derived"))
         rows.append(bound_row(f"{tag}_min_accept_probability",
@@ -177,8 +178,9 @@ def criterion_qubit_cost(seed) -> CriterionResult:
         ("hamming_neq1", 3, 3, None), ("hamming_neq1", 2, 4, None),
     )
     for (name, n, k, expect_r) in cases:
+        # r is compared with the term count of the witness it compiles
         dec = FAMILIES[name].witness(n, k)
-        proto = build_nof_protocol(dec, from_name(name, n, k))
+        proto = build_nof_protocol(materialize(dec), from_name(name, n, k))
         tag = f"{name}_n{n}_k{k}"
         formula = (math.ceil(math.log2(proto.r)) if proto.r >= 1 else 0) + 1
         rows.append(check_row(f"{tag}_cost_formula", proto.qubit_cost,
@@ -194,14 +196,15 @@ def criterion_qubit_cost(seed) -> CriterionResult:
 def criterion_lift_neutrality(seed) -> CriterionResult:
     rows = []
     for (name, n, k) in (("eq", 1, 3), ("eq", 2, 3), ("hamming_neq1", 2, 3)):
-        f, dec = from_name(name, n, k), FAMILIES[name].witness(n, k)
-        proto = build_nof_protocol(dec, f)
+        f = from_name(name, n, k)
+        t = FAMILIES[name].tensor(f)
+        proto = build_nof_protocol(t, f)
         tag = f"{name}_n{n}_k{k}"
         decisions = [tuple(r.accepted for r in sweep_nof(proto, f.inputs(), dummy))
                      for dummy in (0, 1)]
         rows.append(check_row(f"{tag}_dummy_neutral",
                               decisions[0] == decisions[1], True, "literature"))
-        lifted = materialize(lift_order(dec))
+        lifted = lift(t, LIFT_LENGTH)  # what the protocol compiled
         # row v of the last-mode unfolding is the slice at lifted index v
         slices = unfold(lifted, lifted.order)
         constant = all(slices.row(v) == slices.row(0) for v in range(slices.rows))

@@ -68,6 +68,19 @@ def test_rank_hamming_roundtrips_files(tmp_path):
     assert "bracket_tight\ttrue" in res.stdout
 
 
+@pytest.mark.parametrize("name, labelled", [("hamming_neq1", True), ("eq", False)])
+def test_tsr_reports_label_the_tensor_by_its_entries(tmp_path, capsys, name, labelled):
+    # the tensor row follows what the .tsr holds, as it does for --function
+    row = "tensor\tnondet_witness\t-\tdirect\tINFO\n"
+    assert cli.main(["build", "--function", name, "--n", "2", "--k", "3",
+                     "--out", str(tmp_path)]) == 0
+    assert (row in capsys.readouterr().out) == labelled
+    tsr = str(tmp_path / f"{name}_2_3.tsr")
+    for command in (["rank", "--tsr", tsr], ["unfold", "--tsr", tsr, "--mode", "2"]):
+        assert cli.main([*command, "--out", str(tmp_path / "r")]) == 0
+        assert (row in capsys.readouterr().out) == labelled
+
+
 def test_unfold_writes_mat(tmp_path):
     out = tmp_path / "o"
     res = run_cli("unfold", "--function", "gip", "--n", "2", "--k", "3",
@@ -151,6 +164,26 @@ def test_protocol_sweep_takes_no_input(tmp_path):
                   "--input", "0,1,0", "--out", str(tmp_path))
     assert res.returncode == 2
     assert "--input" in res.stderr
+
+
+def test_protocol_sweep_without_one_inputs_skips_min_accept(tmp_path, capsys):
+    assert cli.main(["protocol", "sweep", "--function", "const0", "--n", "1", "--k", "3",
+                     "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "min_accept_probability\t-\t>=1e-09\tderived\tSKIP\n" in out
+    assert "sweep_decisions_ok\ttrue\ttrue\tderived\tPASS\n" in out
+
+
+def test_protocol_sweep_runs_on_functions_without_a_witness(tmp_path, capsys):
+    tt = tmp_path / "xnor.tt"
+    tt.write_text("".join(f"{x} {y} {int(x == y)}\n" for x in range(2) for y in range(2)))
+    for flags in (["--function", "const1", "--n", "1", "--k", "3"],
+                  ["--function", "gip", "--n", "2", "--k", "3"],
+                  ["--truth-table", str(tt)]):
+        assert cli.main(["protocol", "sweep", *flags, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "sweep_decisions_ok\ttrue\ttrue\tderived\tPASS\n" in out
+        assert "FAIL" not in out
 
 
 def test_nih_extract_builtin_relay(tmp_path):

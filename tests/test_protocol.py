@@ -22,6 +22,8 @@ from nqtensor.errors import (
 )
 from nqtensor.functions import (
     FAMILIES,
+    BooleanFunction,
+    canonical_tensor,
     constant,
     eq_nondet_decomposition,
     equality,
@@ -59,8 +61,14 @@ from nqtensor.protocol import (
     trivial_eq_relay_spec,
     unitarity_defect,
 )
-from nqtensor.scalar_linalg import exact
-from nqtensor.tensor_core import Decomposition, flat_offset
+from nqtensor.scalar_linalg import exact, exact_rank
+from nqtensor.tensor_core import (
+    Decomposition,
+    flat_offset,
+    group_matrize,
+    lift,
+    materialize,
+)
 
 # ---------------------------------------------------------------------------
 # branch-form simulation
@@ -402,7 +410,7 @@ def test_nof_mode_rejects_own_input_generators():
 
 def test_build_eq_n1_k3():
     f = equality(1, 3)
-    p = build_nof_protocol(eq_nondet_decomposition(1, 3), f)
+    p = build_nof_protocol(materialize(eq_nondet_decomposition(1, 3)), f)
     assert p.lifted is True
     assert p.r == 2
     assert p.qubit_cost == 2
@@ -410,7 +418,7 @@ def test_build_eq_n1_k3():
 
 def test_build_hamming_n2_k4_even_path():
     f = hamming_neq1(2, 4)
-    p = build_nof_protocol(hamming_nondet_decomposition(2, 4), f)
+    p = build_nof_protocol(materialize(hamming_nondet_decomposition(2, 4)), f)
     assert p.lifted is False
     assert p.r == 3
     assert p.qubit_cost == 3
@@ -420,19 +428,19 @@ def test_build_constant_one_rank_one():
     f = constant(1, 2, 1)
     ones = (exact(1), exact(1))
     d = Decomposition((2, 2), ((ones, ones),))
-    p = build_nof_protocol(d, f)
+    p = build_nof_protocol(materialize(d), f)
     assert p.r == 1
     assert p.qubit_cost == 1
 
 
 def test_build_pattern_mismatch():
     with pytest.raises(PatternMismatch):
-        build_nof_protocol(eq_nondet_decomposition(1, 3), gip(1, 3))
+        build_nof_protocol(materialize(eq_nondet_decomposition(1, 3)), gip(1, 3))
 
 
 def test_run_nof_accepts_and_rejects():
     f = equality(1, 3)
-    p = build_nof_protocol(eq_nondet_decomposition(1, 3), f)
+    p = build_nof_protocol(materialize(eq_nondet_decomposition(1, 3)), f)
     res = run_nof(p, (0, 0, 0))
     assert res.accepted and res.probability > 1e-9
     res = run_nof(p, (0, 1, 0))
@@ -442,7 +450,7 @@ def test_run_nof_accepts_and_rejects():
 
 def test_run_nof_probability_matches_analytic_everywhere():
     f = hamming_neq1(2, 3)
-    p = build_nof_protocol(hamming_nondet_decomposition(2, 3), f)
+    p = build_nof_protocol(materialize(hamming_nondet_decomposition(2, 3)), f)
     for xs in f.inputs():
         res = run_nof(p, xs)
         assert abs(res.probability - res.analytic_probability) <= 1e-9
@@ -450,7 +458,7 @@ def test_run_nof_probability_matches_analytic_everywhere():
 
 def test_sweep_hamming_matches_evaluator():
     f = hamming_neq1(2, 3)
-    p = build_nof_protocol(hamming_nondet_decomposition(2, 3), f)
+    p = build_nof_protocol(materialize(hamming_nondet_decomposition(2, 3)), f)
     rep = strong_nondet_check(p)
     assert rep.passed
     assert rep.max_reject_probability <= 1e-12
@@ -459,14 +467,14 @@ def test_sweep_hamming_matches_evaluator():
 
 def test_sweep_eq4_even_path():
     f = equality(1, 4)
-    p = build_nof_protocol(eq_nondet_decomposition(1, 4), f)
+    p = build_nof_protocol(materialize(eq_nondet_decomposition(1, 4)), f)
     assert p.lifted is False
     assert strong_nondet_check(p).passed
 
 
 def test_lift_dummy_neutrality():
     f = equality(1, 3)
-    p = build_nof_protocol(eq_nondet_decomposition(1, 3), f)
+    p = build_nof_protocol(materialize(eq_nondet_decomposition(1, 3)), f)
     for xs in f.inputs():
         assert run_nof(p, xs, dummy=0).accepted == run_nof(p, xs, dummy=1).accepted
 
@@ -476,7 +484,7 @@ def test_sweep_gip_even_k_rejects_exactly_zero_columns(n):
     # a zero column of the exact grouped matrix has a float norm near 1e-16;
     # it must reject from the exact mask, not divide by that noise
     f = gip(n, 4)
-    rep = strong_nondet_check(build_nof_protocol(gip_nondet_decomposition(n, 4), f))
+    rep = strong_nondet_check(build_nof_protocol(materialize(gip_nondet_decomposition(n, 4)), f))
     assert rep.passed and rep.wrong_decisions == ()
     assert rep.max_reject_probability <= config.REJECT_CEILING
     assert rep.max_sim_analytic_gap <= 1e-9
@@ -485,7 +493,7 @@ def test_sweep_gip_even_k_rejects_exactly_zero_columns(n):
 def test_live_columns_are_the_columns_with_a_one_input():
     for f, d in ((equality(2, 4), eq_nondet_decomposition(2, 4)),
                  (hamming_neq1(2, 3), hamming_nondet_decomposition(2, 3))):
-        p = build_nof_protocol(d, f)
+        p = build_nof_protocol(materialize(d), f)
         col_dims = p.work_dims[p.split:]
         expect = np.zeros(math.prod(col_dims), dtype=bool)
         # a lifted protocol repeats each column along the dummy mode
@@ -507,14 +515,14 @@ def test_sweep_evaluates_f_once_per_input_per_pass():
         return base._eval(xs)
 
     f = dataclasses.replace(base, _eval=counted)
-    strong_nondet_check(build_nof_protocol(eq_nondet_decomposition(2, 4), f))
+    strong_nondet_check(build_nof_protocol(materialize(eq_nondet_decomposition(2, 4)), f))
     # one pass for pattern_check at compile time, one for the sweep itself
     assert len(calls) <= 2 * f.side ** f.k
 
 
 def test_dead_column_rejects_before_float_work():
     f = equality(1, 4)
-    p = build_nof_protocol(eq_nondet_decomposition(1, 4), f)
+    p = build_nof_protocol(materialize(eq_nondet_decomposition(1, 4)), f)
     # float garbage in V cannot reach a column without a 1-input
     noisy = dataclasses.replace(p, v=np.full_like(p.v, 1.0 + 1.0j))
     res = run_nof(noisy, (0, 0, 0, 1))
@@ -523,7 +531,7 @@ def test_dead_column_rejects_before_float_work():
 
 def test_nonzero_dummy_on_unlifted_protocol_is_arity_error():
     f = equality(1, 4)
-    p = build_nof_protocol(eq_nondet_decomposition(1, 4), f)
+    p = build_nof_protocol(materialize(eq_nondet_decomposition(1, 4)), f)
     assert not p.lifted
     with pytest.raises(ArityMismatch):
         run_nof(p, (0, 0, 0, 0), dummy=1)
@@ -533,7 +541,7 @@ def test_nonzero_dummy_on_unlifted_protocol_is_arity_error():
 
 def test_normalization_error_on_rank_undercount():
     f = equality(1, 3)
-    p = build_nof_protocol(eq_nondet_decomposition(1, 3), f)
+    p = build_nof_protocol(materialize(eq_nondet_decomposition(1, 3)), f)
     crippled = dataclasses.replace(p, r=0)
     with pytest.raises(NormalizationError):
         run_nof(crippled, (0, 0, 0))
@@ -546,7 +554,7 @@ _NOF_CASES = [(name, n, k) for name in ("eq", "hamming_neq1")
 def _nof_protocol(name, n, k):
     # no GIP witness is registered in FAMILIES
     witness = gip_nondet_decomposition if name == "gip" else FAMILIES[name].witness
-    return build_nof_protocol(witness(n, k), from_name(name, n, k))
+    return build_nof_protocol(materialize(witness(n, k)), from_name(name, n, k))
 
 
 def _hexed(prob, accepted, analytic):
@@ -639,9 +647,37 @@ def test_cost_formula_is_structural():
     for (name, n, k) in (("eq", 1, 3), ("eq", 2, 3), ("eq", 2, 4)):
         f = equality(n, k)
         d = eq_nondet_decomposition(n, k)
-        p = build_nof_protocol(d, f)
+        p = build_nof_protocol(materialize(d), f)
         assert p.qubit_cost == math.ceil(math.log2(p.r)) + 1
         assert p.r <= d.term_count
+
+
+_TABLE_SHAPES = [(n, k) for n in (1, 2, 3, 4) for k in (2, 3, 4) if 2 ** (n * k) <= 256]
+
+
+@st.composite
+def truth_tables(draw):
+    # any k-party function with side^k <= 256, the constants included
+    n, k = draw(st.sampled_from(_TABLE_SHAPES))
+    size = 2 ** (n * k)
+    top = 2 ** size - 1
+    mask = draw(st.one_of(st.just(0), st.just(top), st.integers(0, top)))
+    dims = (2 ** n,) * k
+    return BooleanFunction("table", n, k, lambda xs: (mask >> flat_offset(dims, xs)) & 1)
+
+
+@seed(5)
+@settings(max_examples=300, deadline=None)
+@given(truth_tables())
+def test_any_function_compiles_from_its_zero_one_tensor(f):
+    # the first claim on arbitrary f: the 0/1 tensor's grouped rank r gives a
+    # strong nondeterministic protocol of ceil(log2 r) + 1 qubits
+    t = canonical_tensor(f)
+    p = build_nof_protocol(t, f)
+    assert strong_nondet_check(p).passed
+    assert p.qubit_cost == (math.ceil(math.log2(p.r)) if p.r else 0) + 1
+    worked = lift(t, LIFT_LENGTH) if f.k % 2 else t
+    assert p.r == exact_rank(group_matrize(worked, worked.order // 2))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ from nqtensor.functions import (
     eq_nondet_decomposition,
     equality,
     gip,
+    gip_nondet_decomposition,
+    hamming_nondet_decomposition,
     inner_product_matrix,
 )
 from nqtensor.scalar_linalg import EC_ONE, EC_ZERO, exact, exact_rank
@@ -21,7 +23,7 @@ from nqtensor.tensor_core import (
     Decomposition,
     DenseTensor,
     group_matrize,
-    lift_order,
+    lift,
     materialize,
     read_dec,
     read_tsr,
@@ -273,33 +275,45 @@ def test_group_matrize_rank_bounded_by_term_count():
 
 def test_lift_single_term_constant_slices():
     d = Decomposition((2, 2), ((tuple([exact(1), exact(2)]), tuple([exact(3), exact(1)])),))
-    lifted = materialize(lift_order(d))
     base = materialize(d)
+    lifted = lift(base)
     for v in range(2):
         for idx in base.indices():
             assert lifted.entry(idx + (v,)) == base.entry(idx)
-
-
-def test_lift_preserves_term_count():
-    d = eq_nondet_decomposition(1, 3)
-    lifted = lift_order(d)
-    assert lifted.term_count == 2
-    assert lifted.order == 4
 
 
 def test_lift_then_group_matrize_rank_bound():
     rng = random.Random(11)
     for terms in (1, 2, 3, 4):
         d = _random_decomposition(rng, (2, 2, 2), terms)
-        lifted = lift_order(d)
-        m = group_matrize(materialize(lifted), 2)
+        m = group_matrize(lift(materialize(d)), 2)
         assert exact_rank(m) <= terms
 
 
 def test_lift_length_configurable():
     d = eq_nondet_decomposition(1, 2)
-    lifted = lift_order(d, length=3)
-    assert materialize(lifted).dims == (2, 2, 3)
+    assert lift(materialize(d), length=3).dims == (2, 2, 3)
+
+
+@pytest.mark.parametrize("witness, n, k", [
+    (eq_nondet_decomposition, 1, 3), (eq_nondet_decomposition, 2, 3),
+    (hamming_nondet_decomposition, 2, 3), (hamming_nondet_decomposition, 3, 3),
+    (gip_nondet_decomposition, 2, 3),
+])
+def test_lift_is_the_witness_with_an_all_ones_mode(witness, n, k):
+    # the grouped matrix the odd-k protocol takes the SVD of, entry for entry
+    d = witness(n, k)
+    ones = (EC_ONE, EC_ONE)
+    appended = Decomposition(d.dims + (2,), tuple(term + (ones,) for term in d.terms))
+    assert lift(materialize(d)) == materialize(appended)
+
+
+def test_lift_checks_size_cap_on_the_lifted_dims(monkeypatch):
+    t = canonical_tensor(equality(1, 3))
+    monkeypatch.setenv("NQTENSOR_SIZE_CAP", "8")
+    assert canonical_tensor(equality(1, 3)) == t  # 8 entries fit the cap
+    with pytest.raises(SizeCapExceeded):
+        lift(t)
 
 
 # ---------------------------------------------------------------------------
