@@ -52,7 +52,6 @@ from .tensor_core import (
     Decomposition,
     DenseTensor,
     group_matrize,
-    lift,
     materialize,
     tensor_slice,
     unfold,

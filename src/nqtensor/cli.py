@@ -25,7 +25,6 @@ from .errors import (
 )
 from .functions import FAMILIES, canonical_tensor, from_name, load_truth_table
 from .protocol import (
-    LIFT_LENGTH,
     build_nof_protocol,
     constant_one_spec,
     nih_rank_certificate,
@@ -41,9 +40,15 @@ from .tensor_core import read_dec, read_tsr, unfold, write_dec, write_tsr
 from .verify import GIP_INSTANCES, run_verify_all
 
 
+def _stem(path) -> str:
+    return os.path.splitext(os.path.basename(path))[0]
+
+
 def _load_function(args):
+    """The ``--truth-table`` function, named after its file's stem, else the
+    ``--function`` family member."""
     if getattr(args, "truth_table", None):
-        return load_truth_table(args.truth_table)
+        return load_truth_table(args.truth_table, name=_stem(args.truth_table))
     return from_name(args.function, args.n, args.k)
 
 
@@ -59,8 +64,9 @@ def _tensor_source(args, witness=True):
     unfolds and ``protocol`` compiles, its witness (None if it has none or
     ``witness`` is false), the row that names a tensor with an entry other
     than 0 or 1, the report stem, and the function (None for ``--tsr``).
-    ``--tsr`` and ``--dec`` give them from files, else the function's
-    ``FAMILIES`` entry, or its 0/1 tensor when it has none.
+    ``--tsr`` and ``--dec`` give them from files, else the ``--function``'s
+    ``FAMILIES`` entry, or the 0/1 tensor of a function without one (every
+    ``--truth-table`` function, whatever its name).
     """
     tsr, dec_path = getattr(args, "tsr", None), getattr(args, "dec", None)
     if dec_path and not tsr:
@@ -68,11 +74,11 @@ def _tensor_source(args, witness=True):
     if tsr:
         t = read_tsr(tsr)
         dec = read_dec(dec_path) if dec_path else None
-        f, stem = None, os.path.splitext(os.path.basename(tsr))[0]
+        f, stem = None, _stem(tsr)
     else:
         f = _load_function(args)
         stem = f"{f.name}_{f.n}_{f.k}"
-        family = FAMILIES.get(f.name)
+        family = None if args.truth_table else FAMILIES.get(f.name)
         t = family.tensor(f) if family else canonical_tensor(f)
         dec = family.witness(f.n, f.k) if witness and family and family.witness else None
     zero_one = all(e.im == 0 and e.re in (0, 1) for e in t.entries)
@@ -169,19 +175,15 @@ def cmd_gip_cert(args) -> int:
 def cmd_protocol(args) -> int:
     t, _, _, stem, f = _tensor_source(args, witness=False)
     proto = build_nof_protocol(t, f)
-    if not 0 <= args.lift_dummy < (LIFT_LENGTH if proto.lifted else 1):
-        raise UsageError(f"--lift-dummy must be in 0..{LIFT_LENGTH - 1} when k is odd, "
-                         "else 0")
     rows = [
         Row("numerical_rank", proto.r, "-", "derived", INFO),
         check_row("qubit_cost", proto.qubit_cost,
                   (math.ceil(math.log2(proto.r)) if proto.r >= 1 else 0) + 1,
                   "literature"),
-        Row("lifted", proto.lifted, "-", "direct", INFO),
     ]
     stem = f"nof_{stem}"
     if args.protocol_cmd == "sweep":
-        rep = strong_nondet_check(proto, dummy=args.lift_dummy)
+        rep = strong_nondet_check(proto)
         rows += [
             check_row("sweep_decisions_ok", rep.passed, True, "derived"),
             Row("sweep_inputs", rep.total_inputs, "-", "direct", INFO),
@@ -198,7 +200,7 @@ def cmd_protocol(args) -> int:
             xs = tuple(int(tok) for tok in args.input.split(","))
         except ValueError:
             raise UsageError(f"--input must be comma-separated integers, got {args.input!r}") from None
-        res = run_nof(proto, xs, dummy=args.lift_dummy)
+        res = run_nof(proto, xs)
         rows += [
             Row("input", ",".join(str(x) for x in xs), "-", "direct", INFO),
             Row("probability", res.probability, "-", "derived", INFO),
@@ -209,9 +211,6 @@ def cmd_protocol(args) -> int:
 
 
 def cmd_nih_extract(args) -> int:
-    # every coefficient up to 2^e must convert exactly to complex128
-    if args.set_size_exponent is not None and not 0 <= args.set_size_exponent <= 53:
-        raise UsageError("--set-size-exponent must be in 0..53")
     if args.scenario:
         spec = read_scenario(args.scenario)
         if spec.mode != "nih":
@@ -233,8 +232,7 @@ def cmd_nih_extract(args) -> int:
     else:
         raise UsageError("nih-extract needs --scenario for functions other than "
                          "eq/const1")
-    cert = nih_rank_certificate(spec, f, rng_seed=args.seed,
-                                set_size_exponent=args.set_size_exponent)
+    cert = nih_rank_certificate(spec, f, rng_seed=args.seed)
     rows = [
         Row("turns", cert.ell, "-", "direct", INFO),
         Row("group_split", cert.group_split, "-", "direct", INFO),
@@ -340,13 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(q)
         if name == "nof":
             q.add_argument("--input", help="comma-separated input strings as integers")
-        q.add_argument("--lift-dummy", type=int, default=0)
         q.set_defaults(fn=cmd_protocol)
 
     p = sub.add_parser("nih-extract", help="NIH extraction certificate")
     _add_common(p, seed=True)
     p.add_argument("--scenario", help="protocol scenario file")
-    p.add_argument("--set-size-exponent", type=int, default=None)
     p.set_defaults(fn=cmd_nih_extract)
 
     p = sub.add_parser("probe", help="substitution-rank evidence probe")

@@ -25,8 +25,8 @@ Three views of a protocol live here:
   changed, and builds an input-free turn once;
 * a dense statevector simulator used as an independent cross-check;
 * the SVD route: compress one grouped half of any tensor with f's support
-  (its 0/1 tensor or a nondeterministic one), lifted by a constant dummy mode
-  when k is odd, into ceil(log2 r) qubits and read the acceptance amplitude
+  (its 0/1 tensor or a nondeterministic one), split after player
+  ceil(k/2), into ceil(log2 r) qubits and read the acceptance amplitude
   off the factors; a column half with no 1-input rejects from the exact
   tensor, not a float norm, and a sweep builds each live column half's
   compressed state once.
@@ -49,7 +49,6 @@ import numpy as np
 
 from . import config
 from .errors import (
-    ArityMismatch,
     CoefficientNotFound,
     DimMismatch,
     FormatError,
@@ -72,7 +71,7 @@ from .scalar_linalg import (
     svd,
     to_float,
 )
-from .tensor_core import DenseTensor, check_size_cap, flat_offset, group_matrize, lift
+from .tensor_core import DenseTensor, check_size_cap, flat_offset, group_matrize
 
 # ---------------------------------------------------------------------------
 # Unitary helpers
@@ -404,7 +403,7 @@ def sweep_branches(spec: ProtocolSpec, inputs):
     raised at the same input.
     """
     cap = config.size_cap()
-    initial = tuple(np.eye(d, dtype=np.complex128)[:, 0] for d in spec.player_dims)
+    initial = tuple(_basis_zero(d) for d in spec.player_dims)
     states = [{(): initial}]  # states[t]: the branches after t turns
     norms = []  # norms[t]: their total squared norm after turn t + 1
     keys = [object()] * spec.ell  # equal to no key: no turn has run
@@ -422,6 +421,13 @@ def sweep_branches(spec: ProtocolSpec, inputs):
             states.append(_turn_step(spec, t, unitaries[t], states[-1], cap))
             norms.append(_total_sq_norm(states[-1]))
         yield BranchState(spec.player_dims, states[-1], tuple(norms))
+
+
+def _basis_zero(d: int) -> np.ndarray:
+    """|0> in C^d, built from d entries."""
+    v = np.zeros(d, dtype=np.complex128)
+    v[0] = 1.0
+    return v
 
 
 def simulate_branches(spec: ProtocolSpec, xs) -> BranchState:
@@ -622,10 +628,6 @@ def read_scenario(path) -> ProtocolSpec:
 # ---------------------------------------------------------------------------
 
 
-# Length of the dummy mode that makes an odd player count even.
-LIFT_LENGTH = 2
-
-
 @dataclass(frozen=True, eq=False)
 class NofProtocol:
     """Compiled SVD protocol for one nondeterministic tensor.
@@ -635,7 +637,6 @@ class NofProtocol:
     """
 
     f: BooleanFunction
-    lifted: bool
     split: int
     u: np.ndarray
     sigma: np.ndarray
@@ -644,7 +645,6 @@ class NofProtocol:
     r: int
     qubit_cost: int
     exact_tensor: DenseTensor = field(repr=False)
-    work_dims: tuple = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -658,18 +658,17 @@ def build_nof_protocol(t: DenseTensor, f: BooleanFunction) -> NofProtocol:
     """Compile ``t``, any exact tensor that is nonzero exactly on f's
     1-inputs, into the grouped-SVD protocol.
 
-    Even player counts matrize at k/2 directly; odd ones first lift ``t`` by
-    a dummy mode on which it is constant (:func:`tensor_core.lift`, which
-    keeps its rank), making the order even.  The qubit cost is
-    ceil(log2 r) + 1 where r is the numerical rank of the matrization.
+    The rows are players 1..ceil(k/2) and the columns the rest; the two
+    groups need not be the same size.  The qubit cost is ceil(log2 r) + 1
+    where r is the numerical rank of the matrization.  The size cap is
+    checked on both square SVD factors before they are allocated.
     """
     if not pattern_check(t, f):
         raise PatternMismatch(f"tensor does not match {f.name}")
-    lifted = f.k % 2 == 1
-    worked = lift(t, LIFT_LENGTH) if lifted else t
-    dims = worked.dims
-    split = len(dims) // 2
-    g = group_matrize(worked, split)
+    split = (f.k + 1) // 2
+    g = group_matrize(t, split)
+    check_size_cap((g.rows, g.rows))
+    check_size_cap((g.cols, g.cols))
     u, s, v = svd(to_float(g))
     r = numerical_rank(s, (g.rows, g.cols))
     q = math.ceil(math.log2(r)) if r >= 1 else 0
@@ -678,7 +677,6 @@ def build_nof_protocol(t: DenseTensor, f: BooleanFunction) -> NofProtocol:
     live.flags.writeable = False
     return NofProtocol(
         f=f,
-        lifted=lifted,
         split=split,
         u=u,
         sigma=s,
@@ -687,35 +685,30 @@ def build_nof_protocol(t: DenseTensor, f: BooleanFunction) -> NofProtocol:
         r=r,
         qubit_cost=q + 1,
         exact_tensor=t,
-        work_dims=dims,
     )
 
 
-def sweep_nof(p: NofProtocol, inputs, dummy: int = 0):
+def sweep_nof(p: NofProtocol, inputs):
     """Run the protocol algebra at each input in turn; yield each input's
     :class:`AcceptanceResult`, in order.
 
     The inputs are not checked again (those of ``p.f.inputs()`` are valid by
-    construction); ``dummy`` indexes the lifted mode, must be 0 on an
-    unlifted protocol, and is checked before the first input.  One side
-    holds the trailing (column) half of the input.  A column without a
-    1-input rejects with probability exactly 0, read off the exact mask
-    before any float work.  Otherwise that side prepares the compressed
-    state c * sigma * V |column-half>, keeping only the r live coordinates;
-    the other side applies U and projects onto its own (row) half, for the
-    probability |c|^2 |T[x]|^2, also computed analytically from the exact
-    tensor entry.  The state and c depend only on the column, so the sweep
+    construction).  One side holds the trailing (column) half of the input.
+    A column without a 1-input rejects with probability exactly 0, read off
+    the exact mask before any float work.  Otherwise that side prepares the
+    compressed state c * sigma * V |column-half>, keeping only the r live
+    coordinates; the other side applies U and projects onto its own (row)
+    half, for the probability |c|^2 |T[x]|^2, also computed analytically
+    from the exact tensor entry.  The state and c depend only on the column, so the sweep
     builds them once per column, from the operands a one-input run uses:
     every value is that run's, bit for bit, and a vanishing state on a live
     column raises ``NormalizationError`` at the same input.
     """
-    if not 0 <= dummy < (LIFT_LENGTH if p.lifted else 1):
-        raise ArityMismatch(f"dummy index {dummy} out of range")
+    dims = p.exact_tensor.dims
     states = {}  # live column -> (compressed state, c)
     for xs in inputs:
-        work = xs + (dummy,) if p.lifted else xs
-        row = flat_offset(p.work_dims[:p.split], work[:p.split])
-        col = flat_offset(p.work_dims[p.split:], work[p.split:])
+        row = flat_offset(dims[:p.split], xs[:p.split])
+        col = flat_offset(dims[p.split:], xs[p.split:])
         if not p.live_columns[col]:
             yield AcceptanceResult(0.0, False, 0.0)
             continue
@@ -732,10 +725,10 @@ def sweep_nof(p: NofProtocol, inputs, dummy: int = 0):
                                float(p.exact_tensor.entry(xs).abs2()) * c * c)
 
 
-def run_nof(p: NofProtocol, xs, dummy: int = 0) -> AcceptanceResult:
+def run_nof(p: NofProtocol, xs) -> AcceptanceResult:
     """Check one input, then run :func:`sweep_nof` over it alone: the
     arithmetic of every sweep, bit for bit."""
-    return next(sweep_nof(p, (p.f.check_input(xs),), dummy))
+    return next(sweep_nof(p, (p.f.check_input(xs),)))
 
 
 @dataclass(frozen=True)
@@ -748,7 +741,7 @@ class SweepReport:
     wrong_decisions: tuple
 
 
-def strong_nondet_check(p: NofProtocol, dummy: int = 0) -> SweepReport:
+def strong_nondet_check(p: NofProtocol) -> SweepReport:
     """Exhaustive sweep of ``p.f``: accepted iff f = 1, plus probability
     extremes; one :func:`sweep_nof`, so each column half's state is built
     once."""
@@ -757,7 +750,7 @@ def strong_nondet_check(p: NofProtocol, dummy: int = 0) -> SweepReport:
     max_gap = 0.0
     wrong = []
     table = p.f.table()
-    for xs, value, res in zip(p.f.inputs(), table, sweep_nof(p, p.f.inputs(), dummy)):
+    for xs, value, res in zip(p.f.inputs(), table, sweep_nof(p, p.f.inputs())):
         max_gap = max(max_gap, abs(res.probability - res.analytic_probability))
         if res.accepted != (value == 1):
             wrong.append(xs)
@@ -898,23 +891,20 @@ def nih_families(spec: ProtocolSpec, f: BooleanFunction):
 
 
 def certify_families(spec: ProtocolSpec, f: BooleanFunction, families: np.ndarray,
-                     ones: np.ndarray, rng_seed: int,
-                     set_size_exponent: int | None = None) -> NihCertificate:
+                     ones: np.ndarray, rng_seed: int) -> NihCertificate:
     """Certify what :func:`nih_families` returned for ``spec`` and ``f``:
     coefficient search (at most 10 draws), grouped-matrix pattern and rank
     checks.
 
     The grouped matrix is the one that :func:`coefficient_search` returns,
-    with coefficients up to 2^set_size_exponent (default kn + 1).  It is
-    certified as a grouped matrization: its zero pattern must match f under
-    the grouping and its rank must not exceed 2^(ell-1).  It is a float
+    with coefficients up to 2^(kn + 1).  It is certified as a grouped
+    matrization: its zero pattern must match f under the grouping and its
+    rank must not exceed 2^(ell-1).  It is a float
     matrix built from the inputs' accepted matrices, so its rank is the
     numerical rank (:func:`numerical_rank` of its singular values); the 0/1
     pattern matrix of f is exact and takes :func:`exact_rank`.
     """
-    if set_size_exponent is None:
-        set_size_exponent = f.k * f.n + 1
-    coeff = coefficient_search(families, ones, set_size_exponent, rng_seed)
+    coeff = coefficient_search(families, ones, f.k * f.n + 1, rng_seed)
     grouped = coeff.grouped
     pattern_ok = bool(np.array_equal(np.abs(grouped) > config.ACCEPT_EPS, ones))
     grouped_rank = numerical_rank(svd(grouped)[1], grouped.shape)
@@ -935,8 +925,8 @@ def certify_families(spec: ProtocolSpec, f: BooleanFunction, families: np.ndarra
     )
 
 
-def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
-                         set_size_exponent: int | None = None) -> NihCertificate:
+def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction,
+                         rng_seed: int) -> NihCertificate:
     """Run the full extraction: the premise sweep of :func:`nih_families`,
     then :func:`certify_families` on its result.
 
@@ -944,4 +934,4 @@ def nih_rank_certificate(spec: ProtocolSpec, f: BooleanFunction, rng_seed: int,
     else :class:`PremiseViolation`).
     """
     families, ones = nih_families(spec, f)
-    return certify_families(spec, f, families, ones, rng_seed, set_size_exponent)
+    return certify_families(spec, f, families, ones, rng_seed)

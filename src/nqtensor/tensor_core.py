@@ -266,23 +266,6 @@ def group_matrize(t: DenseTensor, split: int) -> DenseTensor:
 
 
 # ---------------------------------------------------------------------------
-# Order lift
-# ---------------------------------------------------------------------------
-
-
-def lift(t: DenseTensor, length: int = 2) -> DenseTensor:
-    """``t`` repeated along a new last mode of ``length``: T'(x, j) = T(x).
-
-    Every slice at a fixed last index is ``t``, so the lift has t's rank (a
-    decomposition of t lifts term by term with an all-ones vector) and the
-    order goes up by one.  The size cap is checked on the lifted dims.
-    """
-    dims = t.dims + (length,)
-    check_size_cap(dims)
-    return DenseTensor(dims, [e for e in t.entries for _ in range(length)])
-
-
-# ---------------------------------------------------------------------------
 # .tsr / .dec text formats
 # ---------------------------------------------------------------------------
 

@@ -30,7 +30,6 @@ from .functions import (
     random_nondet_substitution,
 )
 from .protocol import (
-    LIFT_LENGTH,
     build_nof_protocol,
     certify_families,
     coefficient_search,
@@ -39,13 +38,12 @@ from .protocol import (
     simulate_branches,
     simulate_dense,
     strong_nondet_check,
-    sweep_nof,
     trivial_eq_relay_spec,
 )
 from .rank_bounds import gip_certificate, rank_bracket
 from .reports import FAIL, INFO, PASS, SKIP, Row, bound_row, check_row
 from .scalar_linalg import exact_rank
-from .tensor_core import lift, materialize, unfold
+from .tensor_core import materialize, unfold
 
 GIP_INSTANCES = ((2, 3), (3, 3), (2, 4))
 
@@ -193,26 +191,6 @@ def criterion_qubit_cost(seed) -> CriterionResult:
     return _result("criterion-6", "qubit cost formula", rows)
 
 
-def criterion_lift_neutrality(seed) -> CriterionResult:
-    rows = []
-    for (name, n, k) in (("eq", 1, 3), ("eq", 2, 3), ("hamming_neq1", 2, 3)):
-        f = from_name(name, n, k)
-        t = FAMILIES[name].tensor(f)
-        proto = build_nof_protocol(t, f)
-        tag = f"{name}_n{n}_k{k}"
-        decisions = [tuple(r.accepted for r in sweep_nof(proto, f.inputs(), dummy))
-                     for dummy in (0, 1)]
-        rows.append(check_row(f"{tag}_dummy_neutral",
-                              decisions[0] == decisions[1], True, "literature"))
-        lifted = lift(t, LIFT_LENGTH)  # what the protocol compiled
-        # row v of the last-mode unfolding is the slice at lifted index v
-        slices = unfold(lifted, lifted.order)
-        constant = all(slices.row(v) == slices.row(0) for v in range(slices.rows))
-        rows.append(check_row(f"{tag}_lift_slices_constant", constant,
-                              True, "literature"))
-    return _result("criterion-7", "order-lift neutrality", rows)
-
-
 def criterion_branch_fidelity(seed, count: int = 200) -> CriterionResult:
     max_gap = 0.0
     max_drift = 0.0
@@ -282,7 +260,6 @@ def run_criteria(seed: int, gip_instances=GIP_INSTANCES) -> list:
         lambda: criterion_gip_substitutions(seed),
         lambda: criterion_nof_sweeps(seed),
         lambda: criterion_qubit_cost(seed),
-        lambda: criterion_lift_neutrality(seed),
         lambda: criterion_branch_fidelity(seed),
         lambda: criterion_nih_certificate(seed),
     ]
@@ -306,7 +283,8 @@ def flatten_rows(results) -> list:
 
 
 def run_verify_all(seed: int, gip_instances=GIP_INSTANCES):
-    """Run criteria 1..9, then check report determinism as criterion 10.
+    """Run criteria 1..6, 8 and 9 (7 is retired), then check report
+    determinism as criterion 10.
 
     Returns (results, rows, all_passed); rows include the determinism row.
     """

@@ -38,8 +38,8 @@ import numpy as np
 
 import nqtensor
 from nqtensor import config
-from nqtensor.errors import ArityMismatch, NormalizationError, PremiseViolation
-from nqtensor.protocol import LIFT_LENGTH, extract_families, simulate_branches
+from nqtensor.errors import NormalizationError, PremiseViolation
+from nqtensor.protocol import extract_families, simulate_branches
 from nqtensor.scalar_linalg import (
     EC_ONE,
     EC_ZERO,
@@ -77,14 +77,14 @@ def per_input_families(spec, f):
     return families, ones
 
 
-def per_input_nof(p, xs, dummy=0):
-    """(probability, accepted, analytic_probability) of ``p`` at ``xs``."""
+def per_input_nof(p, xs):
+    """(probability, accepted, analytic_probability) of ``p`` at ``xs``; the
+    rows are players 1..ceil(k/2) and the columns the rest."""
     xs = p.f.check_input(xs)
-    if not 0 <= dummy < (LIFT_LENGTH if p.lifted else 1):
-        raise ArityMismatch(f"dummy index {dummy} out of range")
-    work = xs + (dummy,) if p.lifted else xs
-    row = flat_offset(p.work_dims[:p.split], work[:p.split])
-    col = flat_offset(p.work_dims[p.split:], work[p.split:])
+    split = (p.f.k + 1) // 2
+    dims = p.exact_tensor.dims
+    row = flat_offset(dims[:split], xs[:split])
+    col = flat_offset(dims[split:], xs[split:])
     if not p.live_columns[col]:
         return 0.0, False, 0.0
     phi = p.sigma[:p.r] * p.v[:p.r, col]

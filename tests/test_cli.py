@@ -1,3 +1,5 @@
+import argparse
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +188,51 @@ def test_protocol_sweep_runs_on_functions_without_a_witness(tmp_path, capsys):
         assert "FAIL" not in out
 
 
+def test_protocol_checks_size_cap_on_the_svd_factors(tmp_path, monkeypatch, capsys):
+    # eq (2, 3) has 64 entries, but its 16 x 4 grouped matrix has a 16 x 16
+    # left factor
+    monkeypatch.setenv("NQTENSOR_SIZE_CAP", "128")
+    assert cli.main(["protocol", "sweep", "--function", "eq", "--n", "2", "--k", "3",
+                     "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "usage error: 256 entries exceed cap 128\n"
+
+
+def _write_table(path, value):
+    path.write_text("".join(f"{x} {y} {z} {value(x, y, z)}\n"
+                            for x in range(2) for y in range(2) for z in range(2)))
+
+
+def test_truth_table_function_is_named_after_its_file(tmp_path, capsys):
+    _write_table(tmp_path / "xor.tt", lambda x, y, z: x ^ y ^ z)
+    _write_table(tmp_path / "xnor.tt", lambda x, y, z: 1 - (x ^ y ^ z))
+    out = tmp_path / "o"
+    for stem in ("xor", "xnor"):
+        for command in ("rank", "build"):
+            assert cli.main([command, "--truth-table", str(tmp_path / f"{stem}.tt"),
+                             "--out", str(out)]) == 0
+        assert cli.main(["protocol", "sweep", "--truth-table", str(tmp_path / f"{stem}.tt"),
+                         "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "build_xnor_1_3.tsv", "build_xor_1_3.tsv", "nof_xnor_1_3_sweep.tsv",
+        "nof_xor_1_3_sweep.tsv", "rank_xnor_1_3.tsv", "rank_xor_1_3.tsv",
+        "xnor_1_3.tsr", "xor_1_3.tsr"]
+    assert read_tsr(out / "xor_1_3.tsr") != read_tsr(out / "xnor_1_3.tsr")
+
+
+def test_truth_table_named_like_a_family_is_read_from_its_file(tmp_path, capsys):
+    # the file's 0/1 tensor, not the family's registered tensor and witness
+    tt = tmp_path / "hamming_neq1.tt"
+    _write_table(tt, lambda x, y, z: int(x == y == z))
+    out = tmp_path / "o"
+    assert cli.main(["build", "--truth-table", str(tt), "--out", str(out)]) == 0
+    f = functions.load_truth_table(tt)
+    assert read_tsr(out / "hamming_neq1_1_3.tsr") == functions.canonical_tensor(f)
+    assert not (out / "hamming_neq1_1_3.dec").exists()
+    assert cli.main(["protocol", "sweep", "--truth-table", str(tt), "--out", str(out)]) == 0
+    assert "sweep_decisions_ok\ttrue\ttrue\tderived\tPASS\n" in capsys.readouterr().out
+
+
 def test_nih_extract_builtin_relay(tmp_path):
     res = run_cli("nih-extract", "--function", "eq", "--n", "1", "--k", "3",
                   "--seed", "7", "--out", str(tmp_path))
@@ -333,8 +380,8 @@ def test_bad_size_cap_is_usage_error(tmp_path, cap, message):
 
 @pytest.mark.parametrize("args", [
     ("probe", "--trials", "0"),
-    ("nih-extract", "--set-size-exponent", "-1"),
-    ("nih-extract", "--set-size-exponent", "2000"),
+    ("unfold", "--function", "eq", "--n", "1", "--k", "3", "--mode", "0"),
+    ("unfold", "--function", "eq", "--n", "1", "--k", "3", "--mode", "4"),
 ])
 def test_out_of_range_option_is_usage_error(tmp_path, args):
     res = run_cli(*args, "--out", str(tmp_path))
@@ -349,11 +396,9 @@ def test_out_of_range_option_is_usage_error(tmp_path, args):
     ("nih-extract", "--function", "eq", "--n", "0"),
     ("protocol", "nof", "--function", "eq", "--n", "1", "--k", "3", "--input", "1,1,2"),
     ("protocol", "nof", "--function", "eq", "--n", "1", "--k", "3", "--input", "0,-1,0"),
-    ("protocol", "nof", "--function", "eq", "--n", "1", "--k", "3", "--input", "1,1,1",
-     "--lift-dummy", "2"),
-    ("protocol", "sweep", "--function", "eq", "--n", "1", "--k", "3", "--lift-dummy", "-1"),
-    ("protocol", "nof", "--function", "eq", "--n", "1", "--k", "4", "--input", "0,0,0,0",
-     "--lift-dummy", "1"),
+    ("protocol", "nof", "--function", "eq", "--n", "1", "--k", "3", "--input", "1,a,1"),
+    ("rank", "--dec", "missing.dec"),
+    ("nih-extract", "--function", "eq", "--n", "1", "--k", "4"),
     ("gip-cert", "--k", "2"),
     ("verify-all", "--n", "2", "--k", "2"),
     ("verify-all", "--n", "3"),
@@ -474,3 +519,21 @@ def test_verify_all_single_gip_instance_degenerate(tmp_path):
     assert "criterion-3 GIP slice/unfolding certificate: PASS" in res.stdout
     report = (tmp_path / "verify_all.tsv").read_text()
     assert "SKIP" in report
+
+
+def _option_strings(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_strings(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            yield from action.option_strings
+
+
+def test_every_option_is_documented_in_the_readme():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    options = set(_option_strings(cli.build_parser()))
+    assert "--truth-table" in options
+    # a whole option, so --n is not found inside --no or --n-foo
+    assert sorted(o for o in options
+                  if not re.search(rf"(?<![\w-]){re.escape(o)}(?![\w-])", readme)) == []

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from nqtensor.functions import (
     hamming_nondet_decomposition,
 )
 from nqtensor.protocol import (
-    LIFT_LENGTH,
     ProtocolSpec,
     Turn,
     _permutation,
@@ -64,9 +64,9 @@ from nqtensor.protocol import (
 from nqtensor.scalar_linalg import exact, exact_rank
 from nqtensor.tensor_core import (
     Decomposition,
+    DenseTensor,
     flat_offset,
     group_matrize,
-    lift,
     materialize,
 )
 
@@ -398,6 +398,22 @@ def test_input_validation():
         simulate_branches(spec, (0, 2))
 
 
+def test_idle_player_starts_from_a_d_entry_vector():
+    # a player that never acts holds |0> in C^4096 throughout: 64 KiB, not
+    # the 256 MiB of a 4096 x 4096 identity
+    d = 4096
+    spec = ProtocolSpec("nih", 2, 1, (2, d), (Turn(1, gen_flip_channel(2)),))
+    tracemalloc.start()
+    try:
+        b = simulate_branches(spec, (0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    ((_, idle),) = [vecs for vecs in b.branches.values()]
+    assert idle.tobytes() == (np.arange(d) == 0).astype(np.complex128).tobytes()
+
+
 def test_nof_mode_rejects_own_input_generators():
     with pytest.raises(ValueError):
         ProtocolSpec("nof", 2, 1, (2, 2), (Turn(1, gen_write_bit(2, 1, 1)),))
@@ -411,7 +427,8 @@ def test_nof_mode_rejects_own_input_generators():
 def test_build_eq_n1_k3():
     f = equality(1, 3)
     p = build_nof_protocol(materialize(eq_nondet_decomposition(1, 3)), f)
-    assert p.lifted is True
+    # rows are players 1..2, columns player 3
+    assert p.split == 2
     assert p.r == 2
     assert p.qubit_cost == 2
 
@@ -419,7 +436,7 @@ def test_build_eq_n1_k3():
 def test_build_hamming_n2_k4_even_path():
     f = hamming_neq1(2, 4)
     p = build_nof_protocol(materialize(hamming_nondet_decomposition(2, 4)), f)
-    assert p.lifted is False
+    assert p.split == 2
     assert p.r == 3
     assert p.qubit_cost == 3
 
@@ -468,15 +485,8 @@ def test_sweep_hamming_matches_evaluator():
 def test_sweep_eq4_even_path():
     f = equality(1, 4)
     p = build_nof_protocol(materialize(eq_nondet_decomposition(1, 4)), f)
-    assert p.lifted is False
+    assert p.split == 2
     assert strong_nondet_check(p).passed
-
-
-def test_lift_dummy_neutrality():
-    f = equality(1, 3)
-    p = build_nof_protocol(materialize(eq_nondet_decomposition(1, 3)), f)
-    for xs in f.inputs():
-        assert run_nof(p, xs, dummy=0).accepted == run_nof(p, xs, dummy=1).accepted
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -494,14 +504,11 @@ def test_live_columns_are_the_columns_with_a_one_input():
     for f, d in ((equality(2, 4), eq_nondet_decomposition(2, 4)),
                  (hamming_neq1(2, 3), hamming_nondet_decomposition(2, 3))):
         p = build_nof_protocol(materialize(d), f)
-        col_dims = p.work_dims[p.split:]
+        col_dims = p.exact_tensor.dims[p.split:]
         expect = np.zeros(math.prod(col_dims), dtype=bool)
-        # a lifted protocol repeats each column along the dummy mode
-        dummies = [(i,) for i in range(col_dims[-1])] if p.lifted else [()]
         for xs in f.inputs():
             if f.value(xs):
-                for dummy in dummies:
-                    expect[flat_offset(col_dims, xs[p.split:] + dummy)] = True
+                expect[flat_offset(col_dims, xs[p.split:])] = True
         assert not p.live_columns.flags.writeable
         assert np.array_equal(p.live_columns, expect)
 
@@ -529,16 +536,6 @@ def test_dead_column_rejects_before_float_work():
     assert (res.probability, res.accepted, res.analytic_probability) == (0.0, False, 0.0)
 
 
-def test_nonzero_dummy_on_unlifted_protocol_is_arity_error():
-    f = equality(1, 4)
-    p = build_nof_protocol(materialize(eq_nondet_decomposition(1, 4)), f)
-    assert not p.lifted
-    with pytest.raises(ArityMismatch):
-        run_nof(p, (0, 0, 0, 0), dummy=1)
-    with pytest.raises(ArityMismatch):
-        strong_nondet_check(p, dummy=1)
-
-
 def test_normalization_error_on_rank_undercount():
     f = equality(1, 3)
     p = build_nof_protocol(materialize(eq_nondet_decomposition(1, 3)), f)
@@ -561,27 +558,22 @@ def _hexed(prob, accepted, analytic):
     return prob.hex(), accepted, analytic.hex()
 
 
-def _dummies(p):
-    return range(LIFT_LENGTH) if p.lifted else (0,)
-
-
 @pytest.mark.parametrize("name,n,k", _NOF_CASES + [("gip", 2, 4)])
 def test_sweep_matches_per_input_oracle_bit_for_bit(name, n, k):
     p = _nof_protocol(name, n, k)
     table = p.f.table()
-    for dummy in _dummies(p):
-        expect = [per_input_nof(p, xs, dummy) for xs in p.f.inputs()]
-        swept = [dataclasses.astuple(r) for r in sweep_nof(p, p.f.inputs(), dummy)]
-        assert [_hexed(*r) for r in swept] == [_hexed(*r) for r in expect]
-        assert [_hexed(*dataclasses.astuple(run_nof(p, xs, dummy)))
-                for xs in p.f.inputs()] == [_hexed(*r) for r in expect]
-        rep = strong_nondet_check(p, dummy)
-        ones = [r[0] for r, v in zip(expect, table) if v == 1]
-        zeros = [r[0] for r, v in zip(expect, table) if v == 0]
-        assert rep.min_accept_probability.hex() == min(ones).hex()
-        assert rep.max_reject_probability.hex() == max(zeros, default=0.0).hex()
-        assert rep.max_sim_analytic_gap.hex() == max(abs(a - b) for a, _, b in expect).hex()
-        assert rep.passed and rep.total_inputs == len(table)
+    expect = [per_input_nof(p, xs) for xs in p.f.inputs()]
+    swept = [dataclasses.astuple(r) for r in sweep_nof(p, p.f.inputs())]
+    assert [_hexed(*r) for r in swept] == [_hexed(*r) for r in expect]
+    assert [_hexed(*dataclasses.astuple(run_nof(p, xs)))
+            for xs in p.f.inputs()] == [_hexed(*r) for r in expect]
+    rep = strong_nondet_check(p)
+    ones = [r[0] for r, v in zip(expect, table) if v == 1]
+    zeros = [r[0] for r, v in zip(expect, table) if v == 0]
+    assert rep.min_accept_probability.hex() == min(ones).hex()
+    assert rep.max_reject_probability.hex() == max(zeros, default=0.0).hex()
+    assert rep.max_sim_analytic_gap.hex() == max(abs(a - b) for a, _, b in expect).hex()
+    assert rep.passed and rep.total_inputs == len(table)
 
 
 @pytest.mark.parametrize("name,n,k", [("eq", 2, 4), ("hamming_neq1", 2, 3), ("eq", 3, 3)])
@@ -595,52 +587,33 @@ def test_sweep_builds_each_live_column_state_once(name, n, k, monkeypatch):
         return norm(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counted)
-    for dummy in _dummies(p):
-        calls.clear()
-        assert strong_nondet_check(p, dummy).passed
-        # the sweep visits the columns whose lifted index is the dummy
-        assert len(calls) == int(p.live_columns[dummy::LIFT_LENGTH if p.lifted else 1].sum())
+    assert strong_nondet_check(p).passed
+    assert len(calls) == int(p.live_columns.sum())
 
 
-def _zero_live_column(p, dummy, pos):
-    """``p`` with V zeroed on the column of the input at ``pos`` (a 1-input),
-    and that input."""
-    xs = next(itertools.islice(p.f.inputs(), pos, None))
-    assert p.f.value(xs) == 1
-    work = xs + (dummy,) if p.lifted else xs
-    v = p.v.copy()
-    v[:, flat_offset(p.work_dims[p.split:], work[p.split:])] = 0
-    return dataclasses.replace(p, v=v), xs
-
-
-@pytest.mark.parametrize("name,n,k,dummy", [("eq", 2, 4, 0), ("hamming_neq1", 2, 3, 1)])
-def test_vanishing_live_column_raises_at_the_same_input(name, n, k, dummy):
+@pytest.mark.parametrize("name,n,k,from_end", [("eq", 2, 4, 0), ("hamming_neq1", 2, 3, 1)])
+def test_vanishing_live_column_raises_at_the_same_input(name, n, k, from_end):
+    # V zeroed on a late live column (``from_end`` live columns after it):
+    # the sweep runs several inputs before it reaches that column
     p = _nof_protocol(name, n, k)
-    # the last 1-input's column: the sweep runs many inputs before it
-    broken, xs = _zero_live_column(p, dummy, len(p.f.table()) - 1 - p.f.table()[::-1].index(1))
+    col = np.flatnonzero(p.live_columns)[-1 - from_end]
+    v = p.v.copy()
+    v[:, col] = 0
+    broken = dataclasses.replace(p, v=v)
+    col_dims = p.exact_tensor.dims[p.split:]
+    xs = next(x for x in p.f.inputs() if flat_offset(col_dims, x[p.split:]) == col)
     with pytest.raises(NormalizationError):
-        run_nof(broken, xs, dummy)
+        run_nof(broken, xs)
     with pytest.raises(NormalizationError):
-        strong_nondet_check(broken, dummy)
+        strong_nondet_check(broken)
     ran, swept = [], []
     with pytest.raises(NormalizationError):
         for inp in broken.f.inputs():
-            ran.append(per_input_nof(broken, inp, dummy))
+            ran.append(per_input_nof(broken, inp))
     with pytest.raises(NormalizationError):
-        for res in sweep_nof(broken, broken.f.inputs(), dummy):
+        for res in sweep_nof(broken, broken.f.inputs()):
             swept.append(dataclasses.astuple(res))
     assert len(ran) > 1 and [_hexed(*r) for r in swept] == [_hexed(*r) for r in ran]
-
-
-def test_out_of_range_dummy_raises_before_the_first_input(monkeypatch):
-    # the first 1-input would raise NormalizationError if it ran
-    broken, _ = _zero_live_column(_nof_protocol("hamming_neq1", 2, 3), 0, 0)
-    monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: pytest.fail("an input ran"))
-    for dummy in (-1, LIFT_LENGTH):
-        with pytest.raises(ArityMismatch):
-            strong_nondet_check(broken, dummy)
-        with pytest.raises(ArityMismatch):
-            next(sweep_nof(broken, broken.f.inputs(), dummy))
 
 
 def test_cost_formula_is_structural():
@@ -652,7 +625,7 @@ def test_cost_formula_is_structural():
         assert p.r <= d.term_count
 
 
-_TABLE_SHAPES = [(n, k) for n in (1, 2, 3, 4) for k in (2, 3, 4) if 2 ** (n * k) <= 256]
+_TABLE_SHAPES = [(n, k) for n in (1, 2, 3, 4) for k in (2, 3, 4, 5) if 2 ** (n * k) <= 256]
 
 
 @st.composite
@@ -676,8 +649,11 @@ def test_any_function_compiles_from_its_zero_one_tensor(f):
     p = build_nof_protocol(t, f)
     assert strong_nondet_check(p).passed
     assert p.qubit_cost == (math.ceil(math.log2(p.r)) if p.r else 0) + 1
-    worked = lift(t, LIFT_LENGTH) if f.k % 2 else t
-    assert p.r == exact_rank(group_matrize(worked, worked.order // 2))
+    g = group_matrize(t, (f.k + 1) // 2)
+    assert p.r == exact_rank(g)
+    # every column repeated, as when t gains a constant extra mode: same rank
+    doubled = DenseTensor((g.rows, 2 * g.cols), [e for e in g.entries for _ in range(2)])
+    assert p.r == exact_rank(doubled)
 
 
 # ---------------------------------------------------------------------------

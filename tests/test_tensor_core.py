@@ -23,7 +23,6 @@ from nqtensor.tensor_core import (
     Decomposition,
     DenseTensor,
     group_matrize,
-    lift,
     materialize,
     read_dec,
     read_tsr,
@@ -268,52 +267,24 @@ def test_group_matrize_rank_bounded_by_term_count():
             assert exact_rank(group_matrize(t, split)) <= d.term_count
 
 
-# ---------------------------------------------------------------------------
-# order lift
-# ---------------------------------------------------------------------------
-
-
-def test_lift_single_term_constant_slices():
-    d = Decomposition((2, 2), ((tuple([exact(1), exact(2)]), tuple([exact(3), exact(1)])),))
-    base = materialize(d)
-    lifted = lift(base)
-    for v in range(2):
-        for idx in base.indices():
-            assert lifted.entry(idx + (v,)) == base.entry(idx)
-
-
-def test_lift_then_group_matrize_rank_bound():
-    rng = random.Random(11)
-    for terms in (1, 2, 3, 4):
-        d = _random_decomposition(rng, (2, 2, 2), terms)
-        m = group_matrize(lift(materialize(d)), 2)
-        assert exact_rank(m) <= terms
-
-
-def test_lift_length_configurable():
-    d = eq_nondet_decomposition(1, 2)
-    assert lift(materialize(d), length=3).dims == (2, 2, 3)
-
-
 @pytest.mark.parametrize("witness, n, k", [
     (eq_nondet_decomposition, 1, 3), (eq_nondet_decomposition, 2, 3),
     (hamming_nondet_decomposition, 2, 3), (hamming_nondet_decomposition, 3, 3),
     (gip_nondet_decomposition, 2, 3),
 ])
 def test_lift_is_the_witness_with_an_all_ones_mode(witness, n, k):
-    # the grouped matrix the odd-k protocol takes the SVD of, entry for entry
+    # a constant extra mode (the old order lift) is the witness with an
+    # all-ones factor appended; grouped at (k + 1) // 2 it repeats every column
+    # of the witness's grouped matrix, so the rank the protocol compiles from
+    # does not change
     d = witness(n, k)
     ones = (EC_ONE, EC_ONE)
     appended = Decomposition(d.dims + (2,), tuple(term + (ones,) for term in d.terms))
-    assert lift(materialize(d)) == materialize(appended)
-
-
-def test_lift_checks_size_cap_on_the_lifted_dims(monkeypatch):
-    t = canonical_tensor(equality(1, 3))
-    monkeypatch.setenv("NQTENSOR_SIZE_CAP", "8")
-    assert canonical_tensor(equality(1, 3)) == t  # 8 entries fit the cap
-    with pytest.raises(SizeCapExceeded):
-        lift(t)
+    split = (k + 1) // 2
+    g = group_matrize(materialize(d), split)
+    lifted = group_matrize(materialize(appended), split)
+    assert lifted == DenseTensor((g.rows, 2 * g.cols), [e for e in g.entries for _ in range(2)])
+    assert exact_rank(lifted) == exact_rank(g)
 
 
 # ---------------------------------------------------------------------------
