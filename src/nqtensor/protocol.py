@@ -34,9 +34,10 @@ Three views of a protocol live here:
 On top of the branch form sits the extraction pipeline: one sweep over every
 input checks the premise and keeps each input's accepted vector as a matrix
 over two halves of the players (a sum over its live accepted transcripts of
-at most 2^(ell-1) products); certifying contracts it with integer
-coefficients on both sides and checks the zero pattern and rank of the
-resulting grouped matrix.
+at most 2^(ell-1) products); an input at which no turn re-ran has the
+previous input's state, so it takes that input's decision and matrix.
+Certifying contracts the matrices with integer coefficients on both sides
+and checks the zero pattern and rank of the resulting grouped matrix.
 """
 
 from __future__ import annotations
@@ -94,7 +95,11 @@ def unitarity_defect(m: np.ndarray) -> float:
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-ish random unitary via QR with the standard phase fix."""
+    """A Haar-random ``dim x dim`` unitary: the Q factor of the QR
+    decomposition of a complex Ginibre matrix (independent standard normal
+    real and imaginary parts), each column multiplied by the phase of R's
+    diagonal entry so that the draw is Haar and not biased by QR's sign
+    convention."""
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
@@ -318,8 +323,11 @@ class BranchState:
         """Full statevector over H_1 (x) ... (x) H_k (x) C.
 
         The channel is the fastest axis: index = flat_player_index * 2 + c.
+        The size cap is checked on those ``prod(player_dims) * 2`` entries
+        before they are allocated.
         """
         dim = math.prod(self.player_dims)
+        check_size_cap((dim, 2))
         out = np.zeros(dim * 2, dtype=np.complex128)
         for m, vecs in self.branches.items():
             c = m[-1] if m else 0
@@ -398,9 +406,10 @@ def sweep_branches(spec: ProtocolSpec, inputs):
     after turn t is a function of the keys of turns 1..t.  The sweep keeps
     the branches after every turn of the previous input and resumes after
     the longest prefix of turns whose keys are unchanged; a re-run turn
-    whose own key is unchanged reuses its unitary.  Every state is what a
-    run from the start computes, bit for bit, and a turn or cap failure is
-    raised at the same input.
+    whose own key is unchanged reuses its unitary; when no turn re-runs, the
+    yielded state holds the previous input's ``branches`` object.  Every
+    state is what a run from the start computes, bit for bit, and a turn or
+    cap failure is raised at the same input.
     """
     cap = config.size_cap()
     initial = tuple(_basis_zero(d) for d in spec.player_dims)
@@ -451,9 +460,12 @@ def _total_sq_norm(branches) -> float:
 
 
 def simulate_dense(spec: ProtocolSpec, xs) -> np.ndarray:
-    """Reference statevector simulation over the full product space."""
+    """Reference statevector simulation over the full product space; the
+    size cap is checked on its ``prod(player_dims) * 2`` entries before any
+    is allocated."""
     xs = spec.check_input(xs)
     dims = tuple(spec.player_dims) + (2,)
+    check_size_cap(dims)
     state = np.zeros(dims, dtype=np.complex128)
     state[(0,) * len(dims)] = 1.0
     k = spec.k
@@ -502,24 +514,35 @@ def random_protocol(master_seed: int, k: int, ell: int, mode: str = "nih",
                     dim: int = 2, n: int = 1) -> ProtocolSpec:
     """Seeded random protocol with input-dependent Haar unitaries.
 
-    Every turn's unitary is keyed by (master seed, turn index, visible
-    inputs), so two runs with the same seed agree and the generators respect
-    the information constraints of the chosen mode.
+    Every turn's unitary is drawn from the seed sequence (master seed, turn
+    index, acting player, visible inputs), so two runs with the same seed
+    agree and the generators respect the information constraints of the
+    chosen mode.  Each turn keeps the read-only unitary it drew for each
+    visible string, so one protocol object draws each (turn, visible string)
+    unitary once, however many inputs or simulations reuse it.
     """
     order_rng = np.random.default_rng(np.random.SeedSequence([master_seed, k, ell]))
     players = [int(order_rng.integers(1, k + 1)) for _ in range(ell)]
-    turns = []
-    for t, player in enumerate(players):
-        def make(visible, _t=t, _player=player):
-            if isinstance(visible, tuple):
-                key = list(visible)
-            else:
-                key = [int(visible)]
-            seq = np.random.SeedSequence([master_seed, _t, _player] + key)
-            return haar_unitary(np.random.default_rng(seq), 2 * dim)
-
-        turns.append(Turn(player, _named(make, f"random {t}")))
+    turns = [Turn(player, _haar_generator(master_seed, t, player, dim))
+             for t, player in enumerate(players)]
     return ProtocolSpec(mode, k, n, (dim,) * k, tuple(turns))
+
+
+def _haar_generator(master_seed: int, t: int, player: int, dim: int):
+    """Turn ``t`` of :func:`random_protocol`: a Haar unitary per visible
+    string, drawn at its first call and returned read-only after that."""
+    drawn = {}
+
+    def make(visible):
+        key = tuple(visible) if isinstance(visible, tuple) else (int(visible),)
+        if key not in drawn:
+            seq = np.random.SeedSequence([master_seed, t, player, *key])
+            u = haar_unitary(np.random.default_rng(seq), 2 * dim)
+            u.flags.writeable = False
+            drawn[key] = u
+        return drawn[key]
+
+    return _named(make, f"random {t}")
 
 
 # ---------------------------------------------------------------------------
@@ -857,6 +880,9 @@ def nih_families(spec: ProtocolSpec, f: BooleanFunction):
     The protocol must be an NIH protocol of f's shape with at least one turn.
     One :func:`sweep_branches` runs the inputs in lexicographic order, so a
     turn re-runs only when the string it or an earlier turn reads changed.
+    At an input where no turn re-ran, the sweep hands back the previous
+    input's branches object; that input's acceptance decision and accepted
+    matrix are reused, and the decision is still compared with f's value.
 
     Returns (families, ones), indexed by (y, z): y runs over the input tuples
     of the first floor(k/2) players and z over the rest's, both in
@@ -880,13 +906,20 @@ def nih_families(spec: ProtocolSpec, f: BooleanFunction):
     families = np.zeros(full, dtype=np.complex128)
     ones = np.array(f.table()).reshape(shape) == 1
     states = sweep_branches(spec, f.inputs())
+    last_branches = last_accepts = last_yz = None  # of the input last extracted
     for pos, (xs, b) in enumerate(zip(f.inputs(), states)):
         yz = divmod(pos, shape[1])
-        if (b.accept_probability() > config.ACCEPT_EPS) != ones[yz]:
+        unchanged = b.branches is last_branches  # the sweep re-ran no turn
+        accepts = last_accepts if unchanged else b.accept_probability() > config.ACCEPT_EPS
+        if accepts != ones[yz]:
             raise PremiseViolation(f"protocol acceptance at {xs} disagrees with {f.name}")
+        if unchanged:
+            families[yz] = families[last_yz]
+            continue
         _, a_vecs, b_vecs = extract_families(b)
         for a, v in zip(a_vecs, b_vecs):
             families[yz] += np.outer(a, v)
+        last_branches, last_accepts, last_yz = b.branches, accepts, yz
     return families, ones
 
 
@@ -907,7 +940,7 @@ def certify_families(spec: ProtocolSpec, f: BooleanFunction, families: np.ndarra
     coeff = coefficient_search(families, ones, f.k * f.n + 1, rng_seed)
     grouped = coeff.grouped
     pattern_ok = bool(np.array_equal(np.abs(grouped) > config.ACCEPT_EPS, ones))
-    grouped_rank = numerical_rank(svd(grouped)[1], grouped.shape)
+    grouped_rank = numerical_rank(svd(grouped, compute_uv=False), grouped.shape)
     pattern_rank = exact_rank(DenseTensor(ones.shape, [EC_ONE if v else EC_ZERO
                                                        for v in ones.flat]))
     implied = (math.ceil(math.log2(pattern_rank)) + 1) if pattern_rank >= 1 else 0

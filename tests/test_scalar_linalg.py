@@ -293,8 +293,18 @@ def test_svd_factors_are_read_only():
 def test_svd_rejects_nonfinite():
     # LAPACK itself returns NaN factors for an inf entry instead of failing
     for bad in (np.nan, np.inf, complex(0.0, np.inf)):
-        with pytest.raises(ValueError):
-            svd(np.array([[bad, 0.0], [0.0, 1.0]], dtype=np.complex128))
+        for compute_uv in (True, False):
+            with pytest.raises(ValueError):
+                svd(np.array([[bad, 0.0], [0.0, 1.0]], dtype=np.complex128),
+                    compute_uv=compute_uv)
+
+
+def test_svd_values_only_form():
+    rng = np.random.default_rng(7)
+    arr = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    sigma = svd(arr, compute_uv=False)
+    assert sigma.shape == (4,) and not sigma.flags.writeable
+    assert np.allclose(sigma, svd(arr)[1], rtol=0, atol=1e-12)
 
 
 def test_convergence_failure_is_exposed():
