@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable
 
@@ -81,8 +82,17 @@ class BooleanFunction:
 
     def table(self) -> list:
         """f at every input, in :meth:`inputs` order; those inputs are valid
-        by construction, so none is checked again."""
-        return [self._eval(xs) for xs in self.inputs()]
+        by construction, so none is checked again.
+
+        The values are computed on the first call and kept on the instance
+        as a tuple, so every later call, and every caller holding this
+        function object, reads them without evaluating f again.
+        """
+        return list(self._values)
+
+    @cached_property
+    def _values(self) -> tuple:
+        return tuple([self._eval(xs) for xs in self.inputs()])
 
     def inputs(self):
         return product(range(self.side), repeat=self.k)

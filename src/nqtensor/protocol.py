@@ -308,8 +308,13 @@ class BranchState:
         return sorted(m for m in self.branches if m and m[-1] == 1)
 
     def accept_vector(self) -> np.ndarray:
-        """Sum over transcripts ending in 1 of the per-player products."""
+        """Sum over transcripts ending in 1 of the per-player products.
+
+        The size cap is checked on its ``prod(player_dims)`` entries before
+        they are allocated.
+        """
         dim = math.prod(self.player_dims)
+        check_size_cap((dim,))
         acc = np.zeros(dim, dtype=np.complex128)
         for m in self.accepted_transcripts():
             acc += _kron_all(self.branches[m])

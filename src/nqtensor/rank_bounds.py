@@ -179,7 +179,9 @@ def nrank_probe(f: BooleanFunction, trials: int, rng_seed: int) -> int:
     """Minimum bracket lower bound over seeded random substitutions.
 
     A trial stops ranking its unfoldings once their maximum reaches the best
-    value so far, since it can then no longer lower the minimum.  This is
+    value so far, since it can then no longer lower the minimum.  The trials
+    share one table: ``f`` evaluates every input once, on the first trial,
+    and each later substitution reads the values kept on ``f``.  This is
     evidence about the substitution family only: a minimum over
     random draws is not a minimum over all nondeterministic tensors, so the
     result is never reported as the nondeterministic rank itself.

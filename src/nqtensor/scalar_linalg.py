@@ -9,9 +9,11 @@ Two parallel scalar worlds are kept deliberately separate:
   every tensor cost int arithmetic.
   :func:`exact_rank` is the one exact elimination: it clears each row's
   denominators, drops the zero and repeated columns (neither adds to the
-  column space, so the rank is unchanged), and runs fraction-free Bareiss
-  elimination over Gaussian integers held as pairs of Python ints, with
-  exact pivot tests, so an exact rank never depends on a tolerance.
+  column space, so the rank is unchanged), replaces a matrix whose long
+  side is at least twice its short side by its short-side Gram matrix (same
+  rank over C), and runs fraction-free Bareiss elimination over Gaussian
+  integers held as pairs of Python ints, with exact pivot tests, so an exact
+  rank never depends on a tolerance.
 * floating complex — plain ``complex`` / ``numpy.complex128``, used for SVD,
   protocol simulation, and the numerical rank (:func:`numerical_rank`) of
   matrices built from simulated states, where a numerical kernel is the
@@ -140,14 +142,25 @@ def exact_rank(m: DenseTensor) -> int:
     scaling a row by a nonzero integer maps equal columns to equal columns
     and distinct ones to distinct ones, so the rank is unchanged.  The mode-1
     unfolding of eq at n = 5, k = 4 is 32 x 32,768 with 32 nonzero columns.
+
+    When the remaining long side is at least twice the short side, the
+    elimination runs on the Gram matrix of the short side instead (see
+    :func:`_gram`): ``A A^H`` for a wide A, ``A^H A`` for a tall one.  It has
+    the rank of A over C, since ``A A^H x = 0`` gives ``|A^H x|^2 = 0``, and
+    it is short-side square, so Bareiss sweeps its few columns instead of
+    A's many.
     """
     if m.rows == 0 or m.cols == 0:
         return 0
     scaled = [_gaussian_integer_row(m.row(i)) for i in range(m.rows)]
     cols = dict.fromkeys(zip(*scaled))
     cols.pop(((0, 0),) * m.rows, None)
-    a = [list(r) for r in zip(*cols)]
     nrows, ncols = m.rows, len(cols)
+    if ncols and max(nrows, ncols) >= 2 * min(nrows, ncols):
+        a = _gram(cols, nrows, tall=ncols < nrows)
+        nrows = ncols = len(a)
+    else:
+        a = [list(r) for r in zip(*cols)]
     rank = 0
     prev_re, prev_im = 1, 0
     for c in range(ncols):
@@ -174,6 +187,33 @@ def exact_rank(m: DenseTensor) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def _gram(columns: list, nrows: int, tall: bool) -> list:
+    """The Gram matrix of the short side of the Gaussian-integer matrix whose
+    columns are ``columns`` (each ``nrows`` (re, im) pairs): ``A A^H``, or
+    ``A^H A`` when A is ``tall``, as rows of (re, im) Python int pairs.
+
+    With W the short-side matrix (A, or A^H when tall) split as Wr + i Wi,
+    ``W W^H`` is one integer matmul: ``[[Wr, Wi], [Wi, -Wr]] @ [Wr, Wi]^T``
+    stacks its real part over its imaginary part.  Each entry sums 2L
+    products of at most M^2, L being the long side and M the largest
+    component magnitude, so the product runs in int64 when ``2 L M^2 < 2^63``
+    and in Python ints (object dtype) otherwise.
+    """
+    flat = [x for col in columns for pair in col for x in pair]
+    big = max(max(flat), -min(flat))
+    long_side = max(nrows, len(columns))
+    dtype = np.int64 if 2 * long_side * big * big < 2 ** 63 else object
+    arr = np.array(flat, dtype=dtype).reshape(len(columns), nrows, 2)
+    if tall:
+        wr, wi = arr[..., 0], -arr[..., 1]
+    else:
+        wr, wi = arr[..., 0].T, arr[..., 1].T
+    s = np.concatenate((wr, wi), axis=1)
+    p = np.concatenate((s, np.concatenate((wi, -wr), axis=1))) @ s.T
+    short = len(wr)
+    return [list(zip(re, im)) for re, im in zip(p[:short].tolist(), p[short:].tolist())]
 
 
 def _gaussian_integer_row(row) -> list:

@@ -132,6 +132,26 @@ def test_unfold_builds_no_witness(tmp_path, capsys, monkeypatch):
                          "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("name, command", [
+    ("equality", ["protocol", "sweep", "--function", "eq", "--n", "2", "--k", "4"]),
+    ("gip", ["probe", "--function", "gip", "--n", "2", "--k", "4", "--trials", "8"]),
+])
+def test_command_evaluates_its_function_once_per_input(tmp_path, monkeypatch, name, command):
+    # the sweep's tensor, pattern check and acceptance check, and every
+    # probe trial, read one table of 4^4 = 256 inputs
+    calls = []
+    build = getattr(functions, name)
+
+    def counting(n, k):
+        f = build(n, k)
+        return functions.BooleanFunction(
+            f.name, n, k, lambda xs: calls.append(xs) or f._eval(xs))
+
+    monkeypatch.setattr(functions, name, counting)
+    assert cli.main([*command, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 256
+
+
 def test_gip_cert_command(tmp_path):
     res = run_cli("gip-cert", "--n", "2", "--k", "3", "--out", str(tmp_path))
     assert res.returncode == 0  # asserted slice-rank rows pass

@@ -8,6 +8,7 @@ from conftest import mobius_oracle, superdiagonal, zero_tensor
 from nqtensor.errors import ArityMismatch, FormatError, SizeCapExceeded
 from nqtensor.functions import (
     FAMILIES,
+    BooleanFunction,
     and_decomposition,
     canonical_tensor,
     constant,
@@ -305,6 +306,15 @@ def test_function_help_lists_registry_keys():
 def test_table_is_value_at_every_input(name, n, k):
     f = from_name(name, n, k)
     assert f.table() == [f.value(xs) for xs in f.inputs()]
+
+
+def test_table_is_evaluated_once_and_returned_as_a_fresh_list():
+    calls = []
+    f = BooleanFunction("xor", 1, 2, lambda xs: calls.append(xs) or xs[0] ^ xs[1])
+    first = f.table()
+    first[0] = 7
+    assert f.table() == [0, 1, 1, 0]
+    assert len(calls) == 4
 
 
 def test_truth_table_function_table(tmp_path):

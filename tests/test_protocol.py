@@ -186,6 +186,24 @@ def test_dense_simulators_check_the_size_cap_first(monkeypatch):
     assert state.recontract().tobytes() == simulate_dense(spec, (0, 1, 0)).tobytes()
 
 
+def test_accept_vector_checks_the_size_cap_first(monkeypatch):
+    # dims (2, 256, 256): the one live branch holds 2 + 256 + 256 = 514
+    # entries and passes the sweep; the accepted vector would hold 131,072
+    spec = ProtocolSpec("nih", 3, 1, (2, 256, 256), (Turn(1, gen_flip_channel(2)),))
+    monkeypatch.setenv("NQTENSOR_SIZE_CAP", "1024")
+    state = simulate_branches(spec, (0, 1, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded, match="131072 entries exceed cap 1024"):
+            state.accept_probability()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    monkeypatch.setenv("NQTENSOR_SIZE_CAP", str(2 ** 17))
+    assert state.accept_probability() == 1.0
+
+
 def test_branch_form_matches_dense_for_relay_protocol():
     spec = trivial_eq_relay_spec(1)
     for xs in ((0, 0, 0), (0, 1, 0), (1, 1, 1)):

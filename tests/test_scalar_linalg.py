@@ -13,6 +13,7 @@ from nqtensor.scalar_linalg import (
     EC_ONE,
     EC_ZERO,
     ExactComplex,
+    _gram,
     exact,
     exact_rank,
     numerical_rank,
@@ -223,6 +224,70 @@ def test_rank_ignores_zero_repeated_and_permuted_columns(m, data):
     at = data.draw(st.integers(0, m.cols))
     assert exact_rank(_from_columns(m.rows, columns[:at] + [columns[j]] + columns[at:])) == rank
     assert exact_rank(_from_columns(m.rows, data.draw(st.permutations(columns)))) == rank
+
+
+@st.composite
+def wide_or_tall_gaussian_matrix(draw):
+    """A Gaussian-rational matrix whose long side is at least twice its
+    short side, either way round: dense, mostly zero, or a rank-deficient
+    product, so that exact rank goes through the Gram matrix."""
+    short = draw(st.integers(1, 3))
+    long = draw(st.integers(2 * short, 8))
+    kind = draw(st.sampled_from(["dense", "mixed", "sparse", "product"]))
+    if kind == "product" and short > 1:
+        inner = draw(st.integers(1, short - 1))
+        m = matmul(_gaussian_grid(draw, short, inner), _gaussian_grid(draw, inner, long))
+    else:
+        entries = {"mixed": mixed_entries, "sparse": sparse_entries}.get(kind, gaussian_rationals)
+        m = _gaussian_grid(draw, short, long, entries)
+    return transpose(m) if draw(st.booleans()) else m
+
+
+@seed(11)
+@settings(max_examples=120, deadline=None)
+@given(wide_or_tall_gaussian_matrix())
+def test_rank_matches_minor_oracle_through_the_gram_matrix(m):
+    assert exact_rank(m) == minor_rank(m)
+
+
+def _gram_oracle(m):
+    """m m^H for a wide m, m^H m for a tall one, entry by entry in Python ints."""
+    if m.rows > m.cols:
+        m = DenseTensor((m.cols, m.rows), [exact(e.re, -e.im) for e in transpose(m).entries])
+    return [[sum((m.entry((i, t)) * exact(m.entry((j, t)).re, -m.entry((j, t)).im)
+                  for t in range(m.cols)), EC_ZERO)
+             for j in range(m.rows)] for i in range(m.rows)]
+
+
+def _gram_of(m):
+    columns = [tuple((e.re, e.im) for e in col) for col in _columns(m)]
+    return [[exact(*e) for e in row] for row in _gram(columns, m.rows, m.rows > m.cols)]
+
+
+@pytest.mark.parametrize("big, wide", [
+    (2 ** 40, True), (2 ** 40, False),        # 2 L M^2 far above 2^63: Python ints
+    (2 ** 30, True), (2 ** 30, False),        # 2 L M^2 = 2^63 exactly: Python ints
+    (2 ** 30 - 1, True), (2 ** 30 - 1, False),  # just below 2^63: int64
+])
+def test_gram_product_is_exact_on_either_side_of_the_int64_bound(big, wide):
+    # long side 4, every component +-big: the diagonal reaches 2 * 4 * big^2,
+    # which wraps in int64 once it is 2^63
+    one, conj = exact(big, big), exact(big, -big)
+    m = DenseTensor((2, 4), [one, one, one, one, one, conj, one, one])
+    m = m if wide else transpose(m)
+    assert _gram_of(m) == _gram_oracle(m)
+    assert exact_rank(m) == minor_rank(m) == 2
+
+
+def test_rank_of_a_wide_matrix_with_large_components():
+    # components above 2^31: the Gram product runs in Python ints
+    rows = [[exact(3 ** 25 + j, -(2 ** 33) * j) for j in range(6)],
+            [exact(2 ** 35 - j * j, 7 ** 13) for j in range(6)],
+            [exact(3 ** 25 + j, -(2 ** 33) * j) + exact(2 ** 35 - j * j, 7 ** 13)
+             for j in range(6)]]
+    m = DenseTensor((3, 6), [e for row in rows for e in row])
+    assert exact_rank(m) == minor_rank(m) == 2
+    assert exact_rank(transpose(m)) == 2
 
 
 # ---------------------------------------------------------------------------
