@@ -18,11 +18,13 @@ Three views of a protocol live here:
   transcript whose product is exactly zero is dropped as soon as it is, so a
   classical protocol keeps one live transcript per input.  It takes no
   Kronecker product per branch: a player vector enters its turn's unitary
-  through the channel slots of a zero vector, and products of player vectors
-  are folded with outer products, bit for bit what ``np.kron`` computes.  A
-  turn's unitary is a function of what its generator sees, so a sweep over
-  many inputs re-runs a turn only when what it or an earlier turn sees has
-  changed, and builds an input-free turn once;
+  through the channel slots of a zero vector, a 0/1 permutation turn is an
+  index map that moves the vector's entries to their new slots, and
+  products of player vectors are folded with outer products, bit for bit
+  what ``np.kron`` computes.  A turn's unitary is a function of what its
+  generator sees, so a sweep over many inputs re-runs a turn only when what
+  it or an earlier turn sees has changed, and builds an input-free turn
+  once;
 * a dense statevector simulator used as an independent cross-check;
 * the SVD route: compress one grouped half of any tensor with f's support
   (its 0/1 tensor or a nondeterministic one), split after player
@@ -80,17 +82,12 @@ from .tensor_core import DenseTensor, check_size_cap, flat_offset, group_matrize
 
 
 def unitarity_defect(m: np.ndarray) -> float:
-    """max |m^H m - I| of a square matrix ``m``.
+    """max |m^H m - I| of a square matrix ``m``; NaN if any entry is NaN.
 
-    A matrix with one nonzero entry in each row and each column, every such
-    entry exactly 1, is a permutation matrix: the product would give exactly
-    0.0, so it is skipped.  Anything else, NaN entries included, takes the
-    product.
+    A permutation matrix gives exactly 0.0: each entry of the product sums
+    one 1 * 1 and zeros.  Permutation turns are index maps and never reach
+    this check (see :func:`_turn_unitary`).
     """
-    nz = m != 0
-    if (np.count_nonzero(nz) == m.shape[0] and nz.any(axis=0).all()
-            and nz.any(axis=1).all() and (m[nz] == 1).all()):
-        return 0.0
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
@@ -107,28 +104,32 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def _permutation(d: int, image) -> np.ndarray:
-    """The read-only 0/1 unitary |h,c> -> |image(h, c)> on H (x) C, dim H = d."""
+    """The read-only index map of |h,c> -> |image(h, c)> on H (x) C, dim H = d:
+    entry ``2h + c`` holds ``2h' + c'``.  The size cap is checked on the
+    ``2d x 2d`` unitary that the map stands for."""
     check_size_cap((2 * d, 2 * d))
-    u = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    for h in range(d):
-        for c in range(2):
-            h2, c2 = image(h, c)
-            u[h2 * 2 + c2, h * 2 + c] = 1.0
-    u.flags.writeable = False
-    return u
+    out = np.array([2 * h2 + c2 for h in range(d) for c in range(2)
+                    for h2, c2 in (image(h, c),)], dtype=np.intp)
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Turn generator library
 # ---------------------------------------------------------------------------
 #
-# A generator is a callable visible -> unitary on H_player (x) C.  In NIH mode
-# `visible` is the acting player's own string; in NOF mode it is the tuple of
-# everyone else's.  Generators that read the input therefore only make sense
-# in NIH mode and say so via `nih_only`.  A unitary that does not depend on
-# the input is built once, with the generator, and every call returns that
-# one read-only array; such a generator is tagged `input_free`, so a sweep
-# over inputs builds and checks its turn once.
+# A generator is a callable visible -> unitary on H_player (x) C.  A 0/1
+# permutation (write-bit, flip-channel, cnot-channel, store, compare-and-flag)
+# is returned as its index map, a 1-D integer array `image` of length 2d that
+# sends basis state j = 2h + c to `image[j]`; any other unitary is a dense
+# 2d x 2d matrix.  Each permutation generator still checks the size cap on
+# the 2d x 2d unitary its map stands for.  In NIH mode `visible` is the
+# acting player's own string; in NOF mode it is the tuple of everyone else's.
+# Generators that read the input therefore only make sense in NIH mode and
+# say so via `nih_only`.  A unitary that does not depend on the input is
+# built once, with the generator, and every call returns that one read-only
+# array; such a generator is tagged `input_free`, so a sweep over inputs
+# builds and checks its turn once.
 
 
 def _named(make, label: str, nih_only: bool = False, input_free: bool = False):
@@ -191,23 +192,21 @@ def gen_compare_and_flag(d: int, n: int):
     Local layout: qubits 0..n-1 hold the first stored string (qubit j-1 is
     string bit j), qubits n..2n-1 the second.  Only the local state
     ``s | (s << n)``, where ``s`` packs the own string into qubits 0..n-1,
-    holds it twice, so the unitary is the identity with the channel swapped
-    at that one state.
+    holds it twice, so the index map is the identity with the channel
+    swapped at that one state: 2d entries per input, not a 2d x 2d matrix.
     """
     if d != 4 ** n:
         raise DimMismatch(f"compare-and-flag needs player dim {4 ** n}, got {d}")
     check_size_cap((2 * d, 2 * d))
-    eye = np.eye(2 * d, dtype=np.complex128)
-    eye.flags.writeable = False
 
     def make(visible):
         own = int(visible)
         s = sum(((own >> (n - j)) & 1) << (j - 1) for j in range(1, n + 1))
         k = 2 * (s | (s << n))
-        u = eye.copy()
-        u[k:k + 2, k:k + 2] = ((0, 1), (1, 0))
-        u.flags.writeable = False
-        return u
+        image = np.arange(2 * d, dtype=np.intp)
+        image[k], image[k + 1] = k + 1, k
+        image.flags.writeable = False
+        return image
 
     return _named(make, "compare-and-flag", nih_only=True)
 
@@ -294,15 +293,22 @@ class BranchState:
     per-player product tensored with the channel basis vector |m_ell>.  A
     transcript is live unless one of its player vectors became exactly zero;
     the others add exactly zero to the state and are left out.
+    ``turn_branches`` holds the branches after each turn, the last of them
+    ``branches``; :attr:`norm_history` is computed from them when it is read.
     """
 
     player_dims: tuple
     branches: dict
-    norm_history: tuple
+    turn_branches: tuple
 
     @property
     def ell(self) -> int:
-        return len(self.norm_history)
+        return len(self.turn_branches)
+
+    @property
+    def norm_history(self) -> tuple:
+        """The total squared norm of the branches after each turn."""
+        return tuple(_total_sq_norm(b) for b in self.turn_branches)
 
     def accepted_transcripts(self):
         return sorted(m for m in self.branches if m and m[-1] == 1)
@@ -354,11 +360,25 @@ def _kron_all(vecs) -> np.ndarray:
 
 def _turn_unitary(spec: ProtocolSpec, idx: int, xs) -> np.ndarray:
     """Turn ``idx``'s unitary at input ``xs``; :class:`NonUnitary` unless it
-    is a unitary on H_player (x) C."""
+    is a unitary on H_player (x) C.
+
+    A 1-D integer array is an index map (see the turn generator library): it
+    is returned as it is when it is a bijection of range(2d), an O(d) check,
+    since a 0/1 permutation is unitary exactly then.  Anything else is taken
+    as a dense matrix and checked by :func:`unitarity_defect`.
+    """
     turn = spec.turns[idx]
     d = spec.player_dims[turn.player - 1]
     label = f"turn {idx + 1} ({turn.label})"
-    w = np.asarray(turn.make(spec.visible(turn.player, xs)), dtype=np.complex128)
+    w = turn.make(spec.visible(turn.player, xs))
+    if isinstance(w, np.ndarray) and w.ndim == 1 and w.dtype.kind in "iu":
+        hit = np.zeros(2 * d, dtype=bool)
+        if len(w) == 2 * d and w.min() >= 0 and w.max() < 2 * d:
+            hit[w] = True
+        if not hit.all():
+            raise NonUnitary(f"{label}: index map is not a permutation of range({2 * d})")
+        return w
+    w = np.asarray(w, dtype=np.complex128)
     if w.shape != (2 * d, 2 * d):
         raise NonUnitary(f"{label}: expected {2 * d}x{2 * d}, got {w.shape}")
     defect = unitarity_defect(w)
@@ -375,7 +395,11 @@ def _turn_step(spec: ProtocolSpec, idx: int, w: np.ndarray, branches: dict,
     the slots ``c::2`` of a zero vector, ``c`` the branch's last channel bit.
     That vector is ``np.kron(v, e_c)`` up to the sign of zero components,
     which changes no nonzero sum; the tests check every output bit against
-    ``np.kron``.  A child whose new player vector is exactly zero is dropped:
+    ``np.kron``.  An index map ``w`` scatters ``v`` into a zero vector at
+    ``w[c::2]`` instead of taking the product: each output entry is an entry
+    of ``v`` or +0, the product with the 0/1 matrix up to the sign of zeros,
+    and bit for bit that product on non-negative vectors such as the
+    relay's.  A child whose new player vector is exactly zero is dropped:
     its product, and so its share of every sum over branches, is exactly
     zero.  Raises :class:`SizeCapExceeded` once the live children times the
     summed player dimensions exceed ``cap``.
@@ -385,9 +409,13 @@ def _turn_step(spec: ProtocolSpec, idx: int, w: np.ndarray, branches: dict,
     new = {}
     for m, vecs in branches.items():
         c = m[-1] if m else 0
-        inp = np.zeros(2 * d, dtype=np.complex128)
-        inp[c::2] = vecs[p]
-        out = (w @ inp).reshape(d, 2)
+        out = np.zeros(2 * d, dtype=np.complex128)
+        if w.ndim == 1:
+            out[w[c::2]] = vecs[p]
+        else:
+            out[c::2] = vecs[p]
+            out = w @ out
+        out = out.reshape(d, 2)
         for c2 in (0, 1):
             if not out[:, c2].any():
                 continue
@@ -419,7 +447,6 @@ def sweep_branches(spec: ProtocolSpec, inputs):
     cap = config.size_cap()
     initial = tuple(_basis_zero(d) for d in spec.player_dims)
     states = [{(): initial}]  # states[t]: the branches after t turns
-    norms = []  # norms[t]: their total squared norm after turn t + 1
     keys = [object()] * spec.ell  # equal to no key: no turn has run
     unitaries = [None] * spec.ell
     for xs in inputs:
@@ -427,14 +454,13 @@ def sweep_branches(spec: ProtocolSpec, inputs):
         now = [None if getattr(turn.make, "input_free", False)
                else spec.visible(turn.player, xs) for turn in spec.turns]
         resume = next((t for t in range(spec.ell) if now[t] != keys[t]), spec.ell)
-        del states[resume + 1:], norms[resume:]
+        del states[resume + 1:]
         for t in range(resume, spec.ell):
             if now[t] != keys[t]:
                 unitaries[t] = _turn_unitary(spec, t, xs)
                 keys[t] = now[t]
             states.append(_turn_step(spec, t, unitaries[t], states[-1], cap))
-            norms.append(_total_sq_norm(states[-1]))
-        yield BranchState(spec.player_dims, states[-1], tuple(norms))
+        yield BranchState(spec.player_dims, states[-1], tuple(states[1:]))
 
 
 def _basis_zero(d: int) -> np.ndarray:
@@ -467,7 +493,8 @@ def _total_sq_norm(branches) -> float:
 def simulate_dense(spec: ProtocolSpec, xs) -> np.ndarray:
     """Reference statevector simulation over the full product space; the
     size cap is checked on its ``prod(player_dims) * 2`` entries before any
-    is allocated."""
+    is allocated.  An index map is written out as its dense 0/1 matrix, so
+    this simulator shares no arithmetic with the branch form's scatter."""
     xs = spec.check_input(xs)
     dims = tuple(spec.player_dims) + (2,)
     check_size_cap(dims)
@@ -477,7 +504,12 @@ def simulate_dense(spec: ProtocolSpec, xs) -> np.ndarray:
     for idx, turn in enumerate(spec.turns):
         p = turn.player - 1
         d = spec.player_dims[p]
-        w = _turn_unitary(spec, idx, xs).reshape(d, 2, d, 2)
+        w = _turn_unitary(spec, idx, xs)
+        if w.ndim == 1:
+            dense = np.zeros((2 * d, 2 * d), dtype=np.complex128)
+            dense[w, np.arange(2 * d)] = 1.0
+            w = dense
+        w = w.reshape(d, 2, d, 2)
         # contract (player axis, channel axis) with the unitary's input axes
         state = np.tensordot(state, w, axes=([p, k], [2, 3]))
         # tensordot appends the output axes; move the player axis back

@@ -10,10 +10,11 @@ Two parallel scalar worlds are kept deliberately separate:
   :func:`exact_rank` is the one exact elimination: it clears each row's
   denominators, drops the zero and repeated columns (neither adds to the
   column space, so the rank is unchanged), replaces a matrix whose long
-  side is at least twice its short side by its short-side Gram matrix (same
-  rank over C), and runs fraction-free Bareiss elimination over Gaussian
-  integers held as pairs of Python ints, with exact pivot tests, so an exact
-  rank never depends on a tolerance.
+  side is at least twice its short side, and whose short side is at least
+  ``GRAM_MIN_SIDE``, by its short-side Gram matrix (same rank over C), and
+  runs fraction-free Bareiss elimination over Gaussian integers held as
+  pairs of Python ints, with exact pivot tests, so an exact rank never
+  depends on a tolerance.
 * floating complex — plain ``complex`` / ``numpy.complex128``, used for SVD,
   protocol simulation, and the numerical rank (:func:`numerical_rank`) of
   matrices built from simulated states, where a numerical kernel is the
@@ -123,6 +124,10 @@ def coerce_exact(v) -> ExactComplex:
 # Rank over the exact field
 # ---------------------------------------------------------------------------
 
+# The least short side on which exact_rank takes the Gram step: on one to
+# three columns the NumPy round trip costs more than Bareiss saves.
+GRAM_MIN_SIDE = 4
+
 
 def exact_rank(m: DenseTensor) -> int:
     """Rank of an exact matrix (an order-2 tensor) by fraction-free Bareiss
@@ -143,8 +148,9 @@ def exact_rank(m: DenseTensor) -> int:
     and distinct ones to distinct ones, so the rank is unchanged.  The mode-1
     unfolding of eq at n = 5, k = 4 is 32 x 32,768 with 32 nonzero columns.
 
-    When the remaining long side is at least twice the short side, the
-    elimination runs on the Gram matrix of the short side instead (see
+    When the remaining long side is at least twice the short side, and the
+    short side is at least ``GRAM_MIN_SIDE``, the elimination runs on the
+    Gram matrix of the short side instead (see
     :func:`_gram`): ``A A^H`` for a wide A, ``A^H A`` for a tall one.  It has
     the rank of A over C, since ``A A^H x = 0`` gives ``|A^H x|^2 = 0``, and
     it is short-side square, so Bareiss sweeps its few columns instead of
@@ -156,7 +162,8 @@ def exact_rank(m: DenseTensor) -> int:
     cols = dict.fromkeys(zip(*scaled))
     cols.pop(((0, 0),) * m.rows, None)
     nrows, ncols = m.rows, len(cols)
-    if ncols and max(nrows, ncols) >= 2 * min(nrows, ncols):
+    short = min(nrows, ncols)
+    if short >= GRAM_MIN_SIDE and max(nrows, ncols) >= 2 * short:
         a = _gram(cols, nrows, tall=ncols < nrows)
         nrows = ncols = len(a)
     else:

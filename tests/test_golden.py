@@ -5,7 +5,8 @@ trip, an NOF query on a column without a 1-input, a k = 4 rank and probe
 whose unfoldings are ranked only until the answer is settled, two builds
 past n = 2 that pin the witness term order in the ``.dec`` files, and the
 hamming unfolding, which unfolds the same nondeterministic tensor that
-``build`` writes.  They run in-process
+``build`` writes, and the n = 2 relay certificate, whose compare-and-flag
+turn acts on a 16-dimensional player.  They run in-process
 from a scratch directory with relative ``--out`` directories, so the paths
 printed inside the reports are stable.  Every file
 under ``tests/golden/`` must match the file the commands wrote at the same
@@ -55,6 +56,7 @@ COMMANDS = (
     ("out", "protocol nof --function eq --n 1 --k 4 --input 0,0,0,1"),
     ("out", "protocol sweep --function hamming_neq1 --n 2 --k 3"),
     ("out", "nih-extract --function eq --n 1 --k 3 --seed 7"),
+    ("out", "nih-extract --function eq --n 2 --k 3"),
     ("scn", "nih-extract --function eq --n 1 --k 3 --scenario relay.scn --seed 7"),
     ("out", "probe --function gip --n 2 --k 3 --trials 100 --seed 1"),
     ("out", "build --function hamming_neq1 --n 2 --k 3"),

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -212,13 +213,24 @@ def test_branch_form_matches_dense_for_relay_protocol():
         assert np.max(np.abs(b.recontract() - dense)) < 1e-12
 
 
+def _dense(image):
+    """The 0/1 matrix of an index map: column j holds a 1 at row image[j]."""
+    m = np.zeros((len(image), len(image)), dtype=np.complex128)
+    m[image, np.arange(len(image))] = 1.0
+    return m
+
+
 def _kron_oracle(spec, xs):
-    """The branch simulation written with np.kron: returns the live branches
-    and the statevector and accepted vector summed in the simulator's order."""
+    """The branch simulation written with np.kron and dense turn matrices:
+    returns the live branches, the total squared norm after each turn, and
+    the statevector and accepted vector summed in the simulator's order."""
     branches = {(): tuple(np.eye(d, dtype=np.complex128)[:, 0] for d in spec.player_dims)}
+    norms = []
     for turn in spec.turns:
         p = turn.player - 1
-        w = np.asarray(turn.make(spec.visible(turn.player, xs)), dtype=np.complex128)
+        w = turn.make(spec.visible(turn.player, xs))
+        if w.ndim == 1:  # an index map
+            w = _dense(w)
         new = {}
         for m, vecs in branches.items():
             c = m[-1] if m else 0
@@ -227,6 +239,8 @@ def _kron_oracle(spec, xs):
                 if out[:, c2].any():
                     new[m + (c2,)] = vecs[:p] + (out[:, c2].copy(),) + vecs[p + 1:]
         branches = new
+        norms.append(sum(math.prod(float(np.vdot(v, v).real) for v in vecs)
+                         for vecs in branches.values()))
     dim = math.prod(spec.player_dims)
     state = np.zeros(2 * dim, dtype=np.complex128)
     for m, vecs in branches.items():
@@ -234,7 +248,7 @@ def _kron_oracle(spec, xs):
     accepted = np.zeros(dim, dtype=np.complex128)
     for m in sorted(m for m in branches if m and m[-1] == 1):
         accepted += _kron_product(branches[m])
-    return branches, state, accepted
+    return branches, tuple(norms), state, accepted
 
 
 def _kron_product(vecs):
@@ -257,6 +271,19 @@ def _monomial_protocol(seed):
     return ProtocolSpec("nih", 2, 1, (2, 2), tuple(turns))
 
 
+def _index_map_protocol(seed):
+    # random index maps, most of them not involutions (every generator's map
+    # is one), so a map applied backwards moves basis vectors elsewhere
+    rng = np.random.default_rng(seed)
+    turns = []
+    for _ in range(5):
+        player = int(rng.integers(1, 3))
+        image = rng.permutation(4 * player)
+        image.flags.writeable = False
+        turns.append(Turn(player, lambda visible, image=image: image))
+    return ProtocolSpec("nih", 2, 1, (2, 4), tuple(turns))
+
+
 def _bitwise_cases():
     rng = random.Random(41)
     for i in range(12):
@@ -269,16 +296,19 @@ def _bitwise_cases():
             yield pytest.param(spec, xs, id=f"relay{n}-{'-'.join(map(str, xs))}")
     for i in range(8):
         yield pytest.param(_monomial_protocol(i), (0, 1), id=f"monomial{i}")
+    for i in range(4):
+        yield pytest.param(_index_map_protocol(i), (0, 1), id=f"index-map{i}")
 
 
 @pytest.mark.parametrize("spec, xs", list(_bitwise_cases()))
 def test_branch_simulation_matches_kron_oracle_bitwise(spec, xs):
     # tobytes() tells -0.0 from 0.0, so signed zeros must agree too
-    branches, state, accepted = _kron_oracle(spec, xs)
+    branches, norms, state, accepted = _kron_oracle(spec, xs)
     b = simulate_branches(spec, xs)
     assert list(b.branches) == list(branches)
     for m, vecs in branches.items():
         assert [v.tobytes() for v in b.branches[m]] == [v.tobytes() for v in vecs]
+    assert b.norm_history == norms
     assert b.recontract().tobytes() == state.tobytes()
     assert b.accept_vector().tobytes() == accepted.tobytes()
     g = spec.k // 2
@@ -286,6 +316,14 @@ def test_branch_simulation_matches_kron_oracle_bitwise(spec, xs):
     assert [v.tobytes() for v in a_vecs + b_vecs] == (
         [_kron_product(branches[m][:g]).tobytes() for m in members]
         + [_kron_product(branches[m][g:]).tobytes() for m in members])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_index_map_turns_match_dense_simulation(seed):
+    # the dense simulator writes each map out as its own 0/1 matrix
+    spec = _index_map_protocol(seed)
+    for xs in ((0, 0), (0, 1)):
+        assert np.array_equal(simulate_branches(spec, xs).recontract(), simulate_dense(spec, xs))
 
 
 @pytest.mark.parametrize("make, visible", [
@@ -308,9 +346,9 @@ def test_channel_generators_are_kron_products(d):
     x_gate = np.array([[0.0, 1.0], [1.0, 0.0]])
     flip = np.kron(np.eye(d), x_gate).astype(np.complex128).tobytes()
     keep = np.kron(np.eye(d), np.eye(2)).astype(np.complex128).tobytes()
-    assert gen_write_bit(d, 2, 2)(0b10).tobytes() == keep
-    assert gen_write_bit(d, 2, 2)(0b01).tobytes() == flip
-    assert gen_flip_channel(d)(0).tobytes() == flip
+    assert _dense(gen_write_bit(d, 2, 2)(0b10)).tobytes() == keep
+    assert _dense(gen_write_bit(d, 2, 2)(0b01)).tobytes() == flip
+    assert _dense(gen_flip_channel(d)(0)).tobytes() == flip
 
 
 def _compare_and_flag_oracle(n, own):
@@ -367,14 +405,14 @@ def _permutation_matrices():
             m[list(perm), range(size)] = 1.0
             yield m
     for j in range(1, 5):
-        yield gen_store(16, j)(None)
+        yield _dense(gen_store(16, j)(None))
     compare = gen_compare_and_flag(16, 2)
     for own in range(4):
-        yield compare(own)
+        yield _dense(compare(own))
 
 
 def test_permutation_unitarity_defect_equals_the_product():
-    # the structural check returns what the float product gives: exactly 0
+    # the float product of a permutation matrix is exactly the identity
     matrices = list(_permutation_matrices())
     assert len(matrices) == 2 + 6 + 24 + 4 + 4
     for m in matrices:
@@ -410,6 +448,24 @@ def test_nan_turn_unitary_rejected(simulate):
     spec = ProtocolSpec("nih", 2, 1, (2, 2),
                         (Turn(1, lambda visible: np.full((4, 4), np.nan)),))
     with pytest.raises(NonUnitary, match="defect nan"):
+        simulate(spec, (0, 0))
+
+
+NOT_A_PERMUTATION = "index map is not a permutation of range(4)"
+
+
+@pytest.mark.parametrize("simulate", [simulate_branches, simulate_dense])
+@pytest.mark.parametrize("image, message", [
+    ([1, 0, 3, 2, 0], NOT_A_PERMUTATION),  # wrong length, every target hit
+    ([1, 0, 3, 3], NOT_A_PERMUTATION),  # duplicate target
+    ([1, 0, 3, 4], NOT_A_PERMUTATION),  # out of range
+    ([1, 0, 3, -2], NOT_A_PERMUTATION),  # negative: as an index, -2 hits 2
+    (np.array([1.0, 0.0, 3.0, 2.0]), "expected 4x4, got (4,)"),  # float dtype
+], ids=["length", "duplicate", "out-of-range", "negative", "float"])
+def test_index_map_must_be_a_bijection(simulate, image, message):
+    image = np.asarray(image)
+    spec = ProtocolSpec("nih", 2, 1, (2, 2), (Turn(1, lambda visible: image),))
+    with pytest.raises(NonUnitary, match=rf"^turn 1 \(custom\): {re.escape(message)}$"):
         simulate(spec, (0, 0))
 
 
@@ -916,6 +972,28 @@ def test_sweep_builds_only_changed_turns(monkeypatch, make_spec, f, expected):
     assert len(builds) == expected
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_relay_sweep_takes_no_unitarity_product(monkeypatch, n):
+    # every relay turn is an index map, checked as a bijection; dense turn
+    # matrices took the product at each of 16 (n = 1) and 108 (n = 2) builds
+    calls = []
+    defect = protocol.unitarity_defect
+    monkeypatch.setattr(protocol, "unitarity_defect", lambda m: calls.append(m) or defect(m))
+    nih_families(trivial_eq_relay_spec(n), equality(n, 3))
+    assert calls == []
+
+
+def test_sweep_computes_no_norms(monkeypatch):
+    # the norm history is computed only when it is read
+    calls = []
+    norm = protocol._total_sq_norm
+    monkeypatch.setattr(protocol, "_total_sq_norm", lambda b: calls.append(b) or norm(b))
+    nih_families(trivial_eq_relay_spec(2), equality(2, 3))
+    assert calls == []
+    b = simulate_branches(trivial_eq_relay_spec(2), (1, 1, 1))
+    assert b.norm_history == (1.0,) * 9 and len(calls) == 9
+
+
 def test_sweep_resumes_after_the_unchanged_prefix(monkeypatch):
     # relay n = 1 turns: write-bit x1, store, write-bit x2, store, compare x3;
     # a re-run turn whose own input did not change keeps its unitary
@@ -939,7 +1017,7 @@ def test_premise_violation_names_the_first_input(make_spec, f, first):
         # string is 3, so (0, 0, 3) accepts
         flag = spec.turns[-1].make
         flip = np.eye(32)[[i ^ 1 for i in range(32)]]
-        turn = Turn(3, lambda own: flip @ flag(own) if own == 3 else flag(own))
+        turn = Turn(3, lambda own: flip @ _dense(flag(own)) if own == 3 else flag(own))
         spec = dataclasses.replace(spec, turns=spec.turns[:-1] + (turn,))
         first = (0, 0, 3)
     message = f"protocol acceptance at {first} disagrees with {f.name}"
@@ -1019,6 +1097,17 @@ def test_nih_certificate_relay_n3():
     cert = nih_rank_certificate(trivial_eq_relay_spec(3), equality(3, 3), rng_seed=7)
     assert cert.ell == 13
     assert cert.grouped_rank == 8
+    assert cert.pattern_ok
+    assert cert.cost_bound_ok
+
+
+def test_nih_certificate_relay_n4():
+    # 17 turns and 4,096 inputs; compare-and-flag is rebuilt at each input as
+    # a 512-entry index map, not a 512 x 512 matrix
+    cert = nih_rank_certificate(trivial_eq_relay_spec(4), equality(4, 3), rng_seed=7)
+    assert cert.ell == 17
+    assert cert.grouped_rank == 16
+    assert cert.pattern_rank == 16
     assert cert.pattern_ok
     assert cert.cost_bound_ok
 

@@ -6,12 +6,14 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import identity, matmul, minor_rank, read_mat, transpose, zero_matrix
+from nqtensor import scalar_linalg
 from nqtensor.errors import ConvergenceFailure, DimMismatch
 from nqtensor.functions import inner_product_matrix
 from nqtensor.protocol import unitarity_defect
 from nqtensor.scalar_linalg import (
     EC_ONE,
     EC_ZERO,
+    GRAM_MIN_SIDE,
     ExactComplex,
     _gram,
     exact,
@@ -230,9 +232,10 @@ def test_rank_ignores_zero_repeated_and_permuted_columns(m, data):
 def wide_or_tall_gaussian_matrix(draw):
     """A Gaussian-rational matrix whose long side is at least twice its
     short side, either way round: dense, mostly zero, or a rank-deficient
-    product, so that exact rank goes through the Gram matrix."""
-    short = draw(st.integers(1, 3))
-    long = draw(st.integers(2 * short, 8))
+    product.  Exact rank goes through the Gram matrix when the short side
+    reaches ``GRAM_MIN_SIDE``, and through plain Bareiss below it."""
+    short = draw(st.integers(1, GRAM_MIN_SIDE))
+    long = draw(st.integers(2 * short, max(8, 2 * short)))
     kind = draw(st.sampled_from(["dense", "mixed", "sparse", "product"]))
     if kind == "product" and short > 1:
         inner = draw(st.integers(1, short - 1))
@@ -281,13 +284,30 @@ def test_gram_product_is_exact_on_either_side_of_the_int64_bound(big, wide):
 
 def test_rank_of_a_wide_matrix_with_large_components():
     # components above 2^31: the Gram product runs in Python ints
-    rows = [[exact(3 ** 25 + j, -(2 ** 33) * j) for j in range(6)],
-            [exact(2 ** 35 - j * j, 7 ** 13) for j in range(6)],
+    rows = [[exact(3 ** 25 + j, -(2 ** 33) * j) for j in range(8)],
+            [exact(2 ** 35 - j * j, 7 ** 13) for j in range(8)],
             [exact(3 ** 25 + j, -(2 ** 33) * j) + exact(2 ** 35 - j * j, 7 ** 13)
-             for j in range(6)]]
-    m = DenseTensor((3, 6), [e for row in rows for e in row])
+             for j in range(8)],
+            [exact(2 * (3 ** 25 + j), -(2 ** 34) * j) for j in range(8)]]
+    m = DenseTensor((4, 8), [e for row in rows for e in row])
     assert exact_rank(m) == minor_rank(m) == 2
     assert exact_rank(transpose(m)) == 2
+
+
+@pytest.mark.parametrize("short, long, gram", [
+    (GRAM_MIN_SIDE - 1, 2 * GRAM_MIN_SIDE, False),  # short side below the minimum
+    (GRAM_MIN_SIDE, 2 * GRAM_MIN_SIDE, True),
+    (GRAM_MIN_SIDE, 2 * GRAM_MIN_SIDE - 1, False),  # long side under twice the short
+])
+@pytest.mark.parametrize("tall", [False, True])
+def test_gram_step_needs_the_minimum_short_side(monkeypatch, short, long, gram, tall):
+    calls = []
+    monkeypatch.setattr(scalar_linalg, "_gram", lambda *a, **kw: calls.append(a) or _gram(*a, **kw))
+    m = DenseTensor((short, long), [exact(i * long + j + 1, (i + j) % 3)
+                                    for i in range(short) for j in range(long)])
+    m = transpose(m) if tall else m
+    assert exact_rank(m) == minor_rank(m)
+    assert len(calls) == gram
 
 
 # ---------------------------------------------------------------------------
