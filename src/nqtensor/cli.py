@@ -213,8 +213,6 @@ def cmd_protocol(args) -> int:
 def cmd_nih_extract(args) -> int:
     if args.scenario:
         spec = read_scenario(args.scenario)
-        if spec.mode != "nih":
-            raise UsageError(f"scenario mode is {spec.mode}; nih-extract needs mode nih")
         f = _load_function(args)
         if (spec.k, spec.n) != (f.k, f.n):
             raise UsageError(f"scenario has players {spec.k}, bits {spec.n} but "

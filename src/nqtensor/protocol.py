@@ -1,12 +1,11 @@
 """Quantum multiparty protocol machinery.
 
 Model: k players with local spaces H_1..H_k plus a single-qubit channel C.
-A protocol is a fixed turn list; on player i's turn an arbitrary unitary acts
-on H_i (x) C and as the identity elsewhere.  What the turn's unitary may
-depend on is the only difference between the two communication modes:
-
-* NIH — the generator sees only the acting player's own string;
-* NOF — the generator sees every string except the acting player's own.
+A protocol is a fixed turn list; on player i's turn a unitary acts on
+H_i (x) C and as the identity elsewhere, and it may depend only on player i's
+own string: the Number-In-Hand (NIH) model of the lower bound.  The
+Number-On-Forehead (NOF) upper bound runs on a protocol compiled from a
+tensor instead (the SVD route below).
 
 The initial state is |0...0>|0> with no prior entanglement, and the protocol
 accepts with the probability of measuring the channel in |1> at the end.
@@ -123,20 +122,16 @@ def _permutation(d: int, image) -> np.ndarray:
 # is returned as its index map, a 1-D integer array `image` of length 2d that
 # sends basis state j = 2h + c to `image[j]`; any other unitary is a dense
 # 2d x 2d matrix.  Each permutation generator still checks the size cap on
-# the 2d x 2d unitary its map stands for.  In NIH mode `visible` is the
-# acting player's own string; in NOF mode it is the tuple of everyone else's.
-# Generators that read the input therefore only make sense in NIH mode and
-# say so via `nih_only`.  A unitary that does not depend on the input is
-# built once, with the generator, and every call returns that one read-only
-# array; such a generator is tagged `input_free`, so a sweep over inputs
-# builds and checks its turn once.
+# the 2d x 2d unitary its map stands for.  `visible` is the acting player's
+# own string, the one visibility rule.  A unitary that does not depend on the
+# input is built once, with the generator, and every call returns that one
+# read-only array; such a generator is tagged `input_free`, so a sweep over
+# inputs builds and checks its turn once.
 
 
-def _named(make, label: str, nih_only: bool = False, input_free: bool = False):
-    """Tag a generator with its turn label, whether it reads its own input,
-    and whether it reads no input at all."""
+def _named(make, label: str, input_free: bool = False):
+    """Tag a generator with its turn label and whether it reads no input."""
     make.label = label
-    make.nih_only = nih_only
     make.input_free = input_free
     return make
 
@@ -156,7 +151,7 @@ def gen_write_bit(d: int, n: int, j: int):
     def make(visible):
         return by_bit[(int(visible) >> (n - j)) & 1]
 
-    return _named(make, f"write-bit {j}", nih_only=True)
+    return _named(make, f"write-bit {j}")
 
 
 def gen_flip_channel(d: int):
@@ -208,7 +203,7 @@ def gen_compare_and_flag(d: int, n: int):
         image.flags.writeable = False
         return image
 
-    return _named(make, "compare-and-flag", nih_only=True)
+    return _named(make, "compare-and-flag")
 
 
 def gen_matrix_literal(d: int, matrix: np.ndarray):
@@ -242,38 +237,29 @@ class Turn:
         return getattr(self.make, "label", "custom")
 
 
-def _check_turn(mode: str, k: int, t: Turn) -> None:
-    """Raise unless ``t`` can run in a ``mode`` protocol of ``k`` players."""
-    if not 1 <= t.player <= k:
-        raise DimMismatch(f"turn player {t.player} out of range")
-    if mode == "nof" and getattr(t.make, "nih_only", False):
-        raise ValueError(f"generator {t.label!r} reads its own input; NIH only")
-
-
 @dataclass(frozen=True)
 class ProtocolSpec:
-    mode: str  # "nih" | "nof"
+    """An NIH protocol: each turn's generator sees the acting player's own
+    string."""
+
     k: int
     n: int
     player_dims: tuple
     turns: tuple
 
     def __post_init__(self):
-        if self.mode not in ("nih", "nof"):
-            raise ValueError(f"mode must be 'nih' or 'nof', got {self.mode!r}")
         if len(self.player_dims) != self.k:
             raise DimMismatch("need one dimension per player")
         for t in self.turns:
-            _check_turn(self.mode, self.k, t)
+            if not 1 <= t.player <= self.k:
+                raise DimMismatch(f"turn player {t.player} out of range")
 
     @property
     def ell(self) -> int:
         return len(self.turns)
 
-    def visible(self, player: int, xs) -> object:
-        if self.mode == "nih":
-            return xs[player - 1]
-        return tuple(x for i, x in enumerate(xs, start=1) if i != player)
+    def visible(self, player: int, xs) -> int:
+        return xs[player - 1]
 
     def check_input(self, xs) -> tuple:
         return check_strings(xs, self.k, self.n, "protocol")
@@ -538,13 +524,13 @@ def trivial_eq_relay_spec(n: int) -> ProtocolSpec:
         turns.append(Turn(2, gen_write_bit(2, n, j)))
         turns.append(Turn(3, gen_store(d3, n + j)))
     turns.append(Turn(3, gen_compare_and_flag(d3, n)))
-    return ProtocolSpec("nih", 3, n, (2, 2, d3), tuple(turns))
+    return ProtocolSpec(3, n, (2, 2, d3), tuple(turns))
 
 
 def constant_one_spec(n: int = 1, k: int = 2) -> ProtocolSpec:
     """One turn: player 1 unconditionally raises the channel."""
     dims = (2,) * k
-    return ProtocolSpec("nih", k, n, dims, (Turn(1, gen_flip_channel(2)),))
+    return ProtocolSpec(k, n, dims, (Turn(1, gen_flip_channel(2)),))
 
 
 def random_protocol(master_seed: int, k: int, ell: int, mode: str = "nih",
@@ -552,17 +538,19 @@ def random_protocol(master_seed: int, k: int, ell: int, mode: str = "nih",
     """Seeded random protocol with input-dependent Haar unitaries.
 
     Every turn's unitary is drawn from the seed sequence (master seed, turn
-    index, acting player, visible inputs), so two runs with the same seed
-    agree and the generators respect the information constraints of the
-    chosen mode.  Each turn keeps the read-only unitary it drew for each
-    visible string, so one protocol object draws each (turn, visible string)
-    unitary once, however many inputs or simulations reuse it.
+    index, acting player, acting player's string), so two runs with the same
+    seed agree.  ``mode`` must be ``"nih"``, the one turn-based model.  Each
+    turn keeps the read-only unitary it drew for each visible string, so one
+    protocol object draws each (turn, visible string) unitary once, however
+    many inputs or simulations reuse it.
     """
+    if mode != "nih":
+        raise ValueError(f"mode must be 'nih', got {mode!r}")
     order_rng = np.random.default_rng(np.random.SeedSequence([master_seed, k, ell]))
     players = [int(order_rng.integers(1, k + 1)) for _ in range(ell)]
     turns = [Turn(player, _haar_generator(master_seed, t, player, dim))
              for t, player in enumerate(players)]
-    return ProtocolSpec(mode, k, n, (dim,) * k, tuple(turns))
+    return ProtocolSpec(k, n, (dim,) * k, tuple(turns))
 
 
 def _haar_generator(master_seed: int, t: int, player: int, dim: int):
@@ -571,9 +559,9 @@ def _haar_generator(master_seed: int, t: int, player: int, dim: int):
     drawn = {}
 
     def make(visible):
-        key = tuple(visible) if isinstance(visible, tuple) else (int(visible),)
+        key = int(visible)
         if key not in drawn:
-            seq = np.random.SeedSequence([master_seed, t, player, *key])
+            seq = np.random.SeedSequence([master_seed, t, player, key])
             u = haar_unitary(np.random.default_rng(seq), 2 * dim)
             u.flags.writeable = False
             drawn[key] = u
@@ -617,7 +605,7 @@ def read_scenario(path) -> ProtocolSpec:
     Grammar (one directive per line, '#' comments, every directive but
     ``turn`` at most once)::
 
-        mode nih|nof
+        mode nih
         players K
         bits N
         dims D_1 ... D_K
@@ -634,13 +622,17 @@ def read_scenario(path) -> ProtocolSpec:
         if key != "turn":
             seen.add(key)
         if key == "mode":
-            if len(toks) != 2 or toks[1] not in ("nih", "nof"):
-                raise FormatError("mode must be nih or nof", lineno)
+            if toks[1:] != ["nih"]:
+                raise FormatError("mode must be nih", lineno)
             mode = toks[1]
         elif key == "players":
             k = _one_int(toks[1:], lineno, "players takes exactly one integer")
+            if k < 1:
+                raise FormatError("players must be positive", lineno)
         elif key == "bits":
             n = _one_int(toks[1:], lineno, "bits takes exactly one integer")
+            if n < 1:
+                raise FormatError("bits must be positive", lineno)
         elif key == "dims":
             dims = parse_ints(toks[1:], lineno, "dims must be integers")
             if any(d < 1 for d in dims):
@@ -671,16 +663,16 @@ def read_scenario(path) -> ProtocolSpec:
         parse = _GENERATOR_PARSERS[gname]
         try:
             turn = Turn(player, parse(dims[player - 1], n, toks[2:], lineno))
-            _check_turn(mode, k, turn)
         except (DimMismatch, NonUnitary, SizeCapExceeded, ValueError) as exc:
-            # a generator that cannot act on this player or in this mode, a
-            # literal that is not unitary, or a unitary over the entry cap is
-            # a malformed line
+            # a generator that cannot act on this player, a literal that is
+            # not unitary, or a unitary over the entry cap is a malformed
+            # line; so is a count whose error message would hold an integer
+            # over Python's int-to-str digit limit (ValueError)
             raise FormatError(str(exc), lineno) from None
         turns.append(turn)
     if not turns:
         raise FormatError("scenario has no turns", last)
-    return ProtocolSpec(mode, k, n, dims, tuple(turns))
+    return ProtocolSpec(k, n, dims, tuple(turns))
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +906,7 @@ def nih_families(spec: ProtocolSpec, f: BooleanFunction):
     first input in lexicographic order that disagrees), and keep each
     input's accepted vector.
 
-    The protocol must be an NIH protocol of f's shape with at least one turn.
+    The protocol must have f's shape and at least one turn.
     One :func:`sweep_branches` runs the inputs in lexicographic order, so a
     turn re-runs only when the string it or an earlier turn reads changed.
     At an input where no turn re-ran, the sweep hands back the previous
@@ -930,8 +922,6 @@ def nih_families(spec: ProtocolSpec, f: BooleanFunction):
     mask of f = 1.  Each input keeps its own matrix because the transcripts
     that are live differ from input to input.
     """
-    if spec.mode != "nih":
-        raise PremiseViolation("certificate applies to NIH protocols")
     if spec.k != f.k or spec.n != f.n:
         raise DimMismatch("protocol and function shapes disagree")
     if spec.ell < 1:

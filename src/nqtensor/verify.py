@@ -198,8 +198,7 @@ def criterion_branch_fidelity(seed, count: int = 200) -> CriterionResult:
     for i in range(count):
         k = 2 + (i % 2)
         ell = 1 + (i % 3)
-        mode = "nih" if (i // 2) % 2 == 0 else "nof"
-        spec = random_protocol(rng.getrandbits(32), k=k, ell=ell, mode=mode)
+        spec = random_protocol(rng.getrandbits(32), k=k, ell=ell)
         xs = tuple(rng.randrange(2) for _ in range(k))
         b = simulate_branches(spec, xs)
         dense = simulate_dense(spec, xs)

@@ -323,8 +323,11 @@ def test_malformed_tsr_or_dec_names_its_line(tmp_path, capsys, tsr, dec, line):
     # a control qubit the player does not have
     ("nih", "dims 2 2", "turn 1 cnot-channel 2", 5),
     ("nih", "dims 2 2 2", "turn 1 flip-channel", 4),
-    # write-bit reads the player's own input, which a NOF player cannot see
-    ("nof", "dims 2 2", "turn 1 write-bit 1", 5),
+    # the size-cap message would print 4 * d^2, over 6000 digits, which
+    # Python refuses (ValueError); the line is reported, not a traceback
+    ("nih", "dims 1" + "0" * 3000 + " 2", "turn 1 flip-channel", 5),
+    # NIH is the one turn-based model, so mode nof fails at the mode line
+    ("nof", "dims 2 2", "turn 1 write-bit 1", 1),
     # a directive other than turn may appear once; the repeat is rejected
     ("nih\nmode nof", "dims 2 2", "turn 1 flip-channel", 2),
     ("nih", "dims 2 2\n# again\ndims 2 2", "turn 1 flip-channel", 6),
@@ -335,9 +338,9 @@ def test_malformed_tsr_or_dec_names_its_line(tmp_path, capsys, tsr, dec, line):
     ("nih", "dims 2 4", "turn 2 compare-and-flag 1 2 3", 5),
 ], ids=["zero-dim", "negative-dim", "store-slot-0", "cnot-slot-0", "ragged-matrix",
         "store-on-dim-3", "store-slot-3", "write-bit-2", "compare-and-flag-dim-2",
-        "cnot-slot-2", "dims-count", "nih-only-generator-in-nof", "repeated-mode",
-        "repeated-dims", "non-unitary-matrix", "flip-channel-argument",
-        "compare-and-flag-argument"])
+        "cnot-slot-2", "dims-count", "huge-dim", "nih-only-generator-in-nof",
+        "repeated-mode", "repeated-dims", "non-unitary-matrix",
+        "flip-channel-argument", "compare-and-flag-argument"])
 def test_malformed_scenario_names_its_line(tmp_path, capsys, mode, dims, turn, line):
     scn = tmp_path / "s.scn"
     scn.write_text(f"mode {mode}\nplayers 2\nbits 1\n{dims}\n{turn}\n")
@@ -361,7 +364,7 @@ def test_nih_extract_nof_scenario_is_usage_error(tmp_path, capsys):
     scn.write_text("mode nof\nplayers 2\nbits 1\ndims 2 2\nturn 1 flip-channel\n")
     assert cli.main(["nih-extract", "--scenario", str(scn), "--function", "const1",
                      "--n", "1", "--k", "2", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("usage error: scenario mode is nof")
+    assert capsys.readouterr().err == "usage error: line 1: mode must be nih\n"
 
 
 @pytest.mark.parametrize("function, message", [
@@ -508,7 +511,16 @@ def test_nih_extract_nan_unitary_is_error(tmp_path):
     ("mode nih\nplayers 2\nbits 1 2\n", "line 3: bits takes exactly one integer"),
     ("mode nih\nplayers 2\nbits 1\ndims 2 2\nturn 1 store 1 2\n",
      "line 5: generator takes exactly one integer argument"),
-], ids=["players", "bits", "generator"])
+    ("mode nih\nplayers 0\nbits 1\ndims\nturn 1 flip-channel\n",
+     "line 2: players must be positive"),
+    ("mode nih\nplayers -2\nbits 1\ndims 2 2\nturn 1 flip-channel\n",
+     "line 2: players must be positive"),
+    ("mode nih\nplayers 2\nbits 0\ndims 2 2\nturn 1 flip-channel\n",
+     "line 3: bits must be positive"),
+    ("mode nih\nplayers 2\nbits -3\ndims 2 2\nturn 1 flip-channel\n",
+     "line 3: bits must be positive"),
+], ids=["players", "bits", "generator", "players-0", "players-negative", "bits-0",
+        "bits-negative"])
 def test_one_integer_message_names_its_directive(tmp_path, capsys, text, message):
     scn = tmp_path / "s.scn"
     scn.write_text(text)

@@ -77,7 +77,7 @@ from nqtensor.tensor_core import (
 
 
 def test_zero_turn_protocol():
-    spec = ProtocolSpec("nih", 2, 1, (2, 2), ())
+    spec = ProtocolSpec(2, 1, (2, 2), ())
     b = simulate_branches(spec, (0, 1))
     assert set(b.branches) == {()}
     assert b.ell == 0
@@ -111,8 +111,7 @@ def test_branch_form_matches_dense_simulation():
     for i in range(24):
         k = 2 + (i % 2)
         ell = 1 + (i % 3)
-        mode = "nih" if i % 4 < 2 else "nof"
-        spec = random_protocol(rng.getrandbits(32), k=k, ell=ell, mode=mode)
+        spec = random_protocol(rng.getrandbits(32), k=k, ell=ell)
         xs = tuple(rng.randrange(2) for _ in range(k))
         b = simulate_branches(spec, xs)
         dense = simulate_dense(spec, xs)
@@ -143,7 +142,7 @@ def mixed_protocols(draw):
             make = gen_cnot_channel(d, draw(st.integers(1, d.bit_length() - 1)))
         turns.append(Turn(player, make))
     xs = tuple(draw(st.integers(0, 2 ** n - 1)) for _ in range(k))
-    return ProtocolSpec("nih", k, n, dims, tuple(turns)), xs
+    return ProtocolSpec(k, n, dims, tuple(turns)), xs
 
 
 @seed(7)
@@ -190,7 +189,7 @@ def test_dense_simulators_check_the_size_cap_first(monkeypatch):
 def test_accept_vector_checks_the_size_cap_first(monkeypatch):
     # dims (2, 256, 256): the one live branch holds 2 + 256 + 256 = 514
     # entries and passes the sweep; the accepted vector would hold 131,072
-    spec = ProtocolSpec("nih", 3, 1, (2, 256, 256), (Turn(1, gen_flip_channel(2)),))
+    spec = ProtocolSpec(3, 1, (2, 256, 256), (Turn(1, gen_flip_channel(2)),))
     monkeypatch.setenv("NQTENSOR_SIZE_CAP", "1024")
     state = simulate_branches(spec, (0, 1, 0))
     tracemalloc.start()
@@ -268,7 +267,7 @@ def _monomial_protocol(seed):
         if rng.random() < 0.3:
             m = m @ hadamard
         turns.append(Turn(int(rng.integers(1, 3)), gen_matrix_literal(2, m)))
-    return ProtocolSpec("nih", 2, 1, (2, 2), tuple(turns))
+    return ProtocolSpec(2, 1, (2, 2), tuple(turns))
 
 
 def _index_map_protocol(seed):
@@ -281,7 +280,7 @@ def _index_map_protocol(seed):
         image = rng.permutation(4 * player)
         image.flags.writeable = False
         turns.append(Turn(player, lambda visible, image=image: image))
-    return ProtocolSpec("nih", 2, 1, (2, 4), tuple(turns))
+    return ProtocolSpec(2, 1, (2, 4), tuple(turns))
 
 
 def _bitwise_cases():
@@ -371,7 +370,7 @@ def test_compare_and_flag_matches_permutation_oracle_bitwise(n):
 
 def test_simulators_run_on_read_only_unitaries():
     literal = np.kron(np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2))
-    spec = ProtocolSpec("nih", 2, 1, (2, 4), (
+    spec = ProtocolSpec(2, 1, (2, 4), (
         Turn(1, gen_write_bit(2, 1, 1)),
         Turn(2, gen_store(4, 1)),
         Turn(2, gen_cnot_channel(4, 1)),
@@ -388,8 +387,7 @@ def test_non_unitary_turn_rejected():
         return np.ones((4, 4))
 
     bad.label = "bad"
-    bad.nih_only = False
-    spec = ProtocolSpec("nih", 2, 1, (2, 2), (Turn(1, bad),))
+    spec = ProtocolSpec(2, 1, (2, 2), (Turn(1, bad),))
     with pytest.raises(NonUnitary):
         simulate_branches(spec, (0, 0))
 
@@ -445,7 +443,7 @@ def test_ones_off_a_permutation_take_the_product(rows):
 @pytest.mark.parametrize("simulate", [simulate_branches, simulate_dense])
 def test_nan_turn_unitary_rejected(simulate):
     # a NaN defect compares false against the tolerance both ways
-    spec = ProtocolSpec("nih", 2, 1, (2, 2),
+    spec = ProtocolSpec(2, 1, (2, 2),
                         (Turn(1, lambda visible: np.full((4, 4), np.nan)),))
     with pytest.raises(NonUnitary, match="defect nan"):
         simulate(spec, (0, 0))
@@ -464,7 +462,7 @@ NOT_A_PERMUTATION = "index map is not a permutation of range(4)"
 ], ids=["length", "duplicate", "out-of-range", "negative", "float"])
 def test_index_map_must_be_a_bijection(simulate, image, message):
     image = np.asarray(image)
-    spec = ProtocolSpec("nih", 2, 1, (2, 2), (Turn(1, lambda visible: image),))
+    spec = ProtocolSpec(2, 1, (2, 2), (Turn(1, lambda visible: image),))
     with pytest.raises(NonUnitary, match=rf"^turn 1 \(custom\): {re.escape(message)}$"):
         simulate(spec, (0, 0))
 
@@ -472,7 +470,7 @@ def test_index_map_must_be_a_bijection(simulate, image, message):
 @pytest.mark.parametrize("simulate", [simulate_branches, simulate_dense])
 def test_wrongly_sized_turn_unitary_rejected(simulate):
     # a unitary on a 1-qubit player plus the channel, for a 2-qubit player
-    spec = ProtocolSpec("nih", 2, 1, (4, 2), (Turn(1, lambda visible: np.eye(4)),))
+    spec = ProtocolSpec(2, 1, (4, 2), (Turn(1, lambda visible: np.eye(4)),))
     with pytest.raises(NonUnitary, match="expected 8x8"):
         simulate(spec, (0, 0))
 
@@ -489,7 +487,7 @@ def test_idle_player_starts_from_a_d_entry_vector():
     # a player that never acts holds |0> in C^4096 throughout: 64 KiB, not
     # the 256 MiB of a 4096 x 4096 identity
     d = 4096
-    spec = ProtocolSpec("nih", 2, 1, (2, d), (Turn(1, gen_flip_channel(2)),))
+    spec = ProtocolSpec(2, 1, (2, d), (Turn(1, gen_flip_channel(2)),))
     tracemalloc.start()
     try:
         b = simulate_branches(spec, (0, 0))
@@ -499,11 +497,6 @@ def test_idle_player_starts_from_a_d_entry_vector():
     assert peak < 2 ** 20
     ((_, idle),) = [vecs for vecs in b.branches.values()]
     assert idle.tobytes() == (np.arange(d) == 0).astype(np.complex128).tobytes()
-
-
-def test_nof_mode_rejects_own_input_generators():
-    with pytest.raises(ValueError):
-        ProtocolSpec("nof", 2, 1, (2, 2), (Turn(1, gen_write_bit(2, 1, 1)),))
 
 
 # ---------------------------------------------------------------------------
@@ -1030,7 +1023,6 @@ def test_premise_violation_names_the_first_input(make_spec, f, first):
 
 @pytest.mark.parametrize("mode, visible, key", [
     ("nih", 1, [1]),
-    ("nof", (0, 1), [0, 1]),
 ])
 def test_random_turn_draws_each_visible_string_once(mode, visible, key):
     spec = random_protocol(11, k=3, ell=2, mode=mode)
@@ -1137,9 +1129,9 @@ def test_nih_certificate_premise_violation():
 
 
 def test_nih_certificate_requires_nih_mode():
-    spec = random_protocol(3, k=2, ell=1, mode="nof")
-    with pytest.raises(PremiseViolation):
-        nih_rank_certificate(spec, constant(1, 2, 1), rng_seed=1)
+    # NIH is the one turn-based model; the keyword takes no other value
+    with pytest.raises(ValueError, match="mode must be 'nih', got 'nof'"):
+        random_protocol(3, k=2, ell=1, mode="nof")
 
 
 # ---------------------------------------------------------------------------
@@ -1164,7 +1156,7 @@ def test_scenario_roundtrip(tmp_path):
     path = tmp_path / "relay.scn"
     path.write_text(RELAY_N1_SCENARIO)
     spec = read_scenario(path)
-    assert spec.mode == "nih" and spec.k == 3 and spec.ell == 5
+    assert spec.k == 3 and spec.ell == 5
     cert = nih_rank_certificate(spec, equality(1, 3), rng_seed=7)
     builder_cert = nih_rank_certificate(trivial_eq_relay_spec(1),
                                         equality(1, 3), rng_seed=7)
@@ -1214,6 +1206,9 @@ def test_scenario_nof_with_input_reading_generator(tmp_path):
     from nqtensor.errors import FormatError
 
     path = tmp_path / "bad.scn"
+    # NIH is the one turn-based model: the mode line itself is malformed
     path.write_text("mode nof\nplayers 2\nbits 1\ndims 2 2\nturn 1 write-bit 1\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as err:
         read_scenario(path)
+    assert err.value.line == 1
+    assert str(err.value) == "line 1: mode must be nih"
