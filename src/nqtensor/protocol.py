@@ -60,11 +60,9 @@ from .errors import (
     PremiseViolation,
     SizeCapExceeded,
 )
-from .functions import BooleanFunction, check_strings
+from .functions import BooleanFunction, canonical_tensor, check_strings
 from .rank_bounds import pattern_check
 from .scalar_linalg import (
-    EC_ONE,
-    EC_ZERO,
     exact_rank,
     numerical_rank,
     parse_float_scalar,
@@ -190,8 +188,8 @@ def gen_compare_and_flag(d: int, n: int):
     holds it twice, so the index map is the identity with the channel
     swapped at that one state: 2d entries per input, not a 2d x 2d matrix.
     """
-    if d != 4 ** n:
-        raise DimMismatch(f"compare-and-flag needs player dim {4 ** n}, got {d}")
+    if d.bit_length() != 2 * n + 1 or d & (d - 1):
+        raise DimMismatch(f"compare-and-flag needs player dim 4^{n}, got {d}")
     check_size_cap((2 * d, 2 * d))
 
     def make(visible):
@@ -666,8 +664,8 @@ def read_scenario(path) -> ProtocolSpec:
         except (DimMismatch, NonUnitary, SizeCapExceeded, ValueError) as exc:
             # a generator that cannot act on this player, a literal that is
             # not unitary, or a unitary over the entry cap is a malformed
-            # line; so is a count whose error message would hold an integer
-            # over Python's int-to-str digit limit (ValueError)
+            # line; so is a literal whose shape message would print past
+            # Python's int-to-str digit limit (ValueError)
             raise FormatError(str(exc), lineno) from None
         turns.append(turn)
     if not turns:
@@ -684,7 +682,7 @@ def read_scenario(path) -> ProtocolSpec:
 class NofProtocol:
     """Compiled SVD protocol for one nondeterministic tensor.
 
-    ``u``, ``sigma`` and ``v`` are the read-only factors :func:`svd` returns;
+    ``u``, ``sigma`` and ``v`` are the reduced factors :func:`svd` returns;
     ``live_columns`` marks the nonzero columns of the exact grouped matrix.
     """
 
@@ -712,20 +710,18 @@ def build_nof_protocol(t: DenseTensor, f: BooleanFunction) -> NofProtocol:
 
     The rows are players 1..ceil(k/2) and the columns the rest; the two
     groups need not be the same size.  The qubit cost is ceil(log2 r) + 1
-    where r is the numerical rank of the matrization.  The size cap is
-    checked on both square SVD factors before they are allocated.
+    where r is the numerical rank of the matrization.  The reduced SVD
+    factors have no more entries than the grouped matrix.
     """
     if not pattern_check(t, f):
         raise PatternMismatch(f"tensor does not match {f.name}")
     split = (f.k + 1) // 2
     g = group_matrize(t, split)
-    check_size_cap((g.rows, g.rows))
-    check_size_cap((g.cols, g.cols))
     u, s, v = svd(to_float(g))
     r = numerical_rank(s, (g.rows, g.cols))
     q = math.ceil(math.log2(r)) if r >= 1 else 0
-    # pattern_check showed that these are the columns holding a 1-input
-    live = np.array([not e.is_zero() for e in g.entries]).reshape(g.rows, -1).any(axis=0)
+    # pattern_check showed that t's support is f's 1-inputs
+    live = np.array(f.table()).reshape(g.rows, -1).any(axis=0)
     live.flags.writeable = False
     return NofProtocol(
         f=f,
@@ -826,21 +822,18 @@ def strong_nondet_check(p: NofProtocol) -> SweepReport:
 # ---------------------------------------------------------------------------
 
 
-def extract_families(b: BranchState):
-    """Split the live accepted transcripts into two grouped vector families.
+def extract_families(b: BranchState) -> np.ndarray:
+    """The input's accepted matrix M = sum_m a_m b_m^T, a Da x Db array.
 
-    Returns (members, a_vectors, b_vectors): for each live transcript m
-    ending in 1, the product of the first floor(k/2) players' vectors and the
-    product of the rest.  Family size is at most 2^(ell-1).
+    a_m and b_m are the products of the first floor(k/2) players' vectors and
+    of the rest's, over the at most 2^(ell-1) live accepted transcripts m.
+    The players' Kronecker order is row-major, so M is
+    :meth:`BranchState.accept_vector` reshaped to (Da, Db).
     """
     k = len(b.player_dims)
     if k < 2:
         raise DimMismatch("need at least two players to group")
-    g = k // 2
-    members = b.accepted_transcripts()
-    a_vecs = [_kron_all(b.branches[m][:g]) for m in members]
-    b_vecs = [_kron_all(b.branches[m][g:]) for m in members]
-    return members, a_vecs, b_vecs
+    return b.accept_vector().reshape(math.prod(b.player_dims[:k // 2]), -1)
 
 
 @dataclass(frozen=True)
@@ -856,7 +849,7 @@ def coefficient_search(families: np.ndarray, ones, set_size_exponent: int,
     """Sample integer contraction coefficients until every 1-input survives.
 
     ``families[i, j]`` is the accepted vector of the input (y_i, z_j) as a
-    Da x Db complex128 matrix M(y_i, z_j) (see :func:`nih_families`), and
+    Da x Db complex128 matrix M(y_i, z_j) (see :func:`extract_families`), and
     ``ones`` is a boolean mask of the same (y, z) grid.  Coefficients alpha
     (Da of them) and beta (Db) are drawn uniformly from
     1..2^set_size_exponent.  A draw gives the grouped matrix
@@ -917,8 +910,8 @@ def nih_families(spec: ProtocolSpec, f: BooleanFunction):
     of the first floor(k/2) players and z over the rest's, both in
     lexicographic order.  ``families[y, z]`` is the input's accepted vector
     as a Da x Db matrix, Da and Db the dimensions of the two player groups:
-    M(y,z) = sum_m a_m(y) b_m(z)^T over its live accepted transcripts m,
-    with a_m and b_m from :func:`extract_families`.  ``ones`` is the boolean
+    M(y,z) = sum_m a_m(y) b_m(z)^T over its live accepted transcripts m, as
+    :func:`extract_families` returns it.  ``ones`` is the boolean
     mask of f = 1.  Each input keeps its own matrix because the transcripts
     that are live differ from input to input.
     """
@@ -943,9 +936,7 @@ def nih_families(spec: ProtocolSpec, f: BooleanFunction):
         if unchanged:
             families[yz] = families[last_yz]
             continue
-        _, a_vecs, b_vecs = extract_families(b)
-        for a, v in zip(a_vecs, b_vecs):
-            families[yz] += np.outer(a, v)
+        families[yz] = extract_families(b)
         last_branches, last_accepts, last_yz = b.branches, accepts, yz
     return families, ones
 
@@ -961,15 +952,14 @@ def certify_families(spec: ProtocolSpec, f: BooleanFunction, families: np.ndarra
     matrization: its zero pattern must match f under the grouping and its
     rank must not exceed 2^(ell-1).  It is a float
     matrix built from the inputs' accepted matrices, so its rank is the
-    numerical rank (:func:`numerical_rank` of its singular values); the 0/1
-    pattern matrix of f is exact and takes :func:`exact_rank`.
+    numerical rank (:func:`numerical_rank` of its singular values); f's 0/1
+    pattern matrix is its grouped canonical tensor and takes :func:`exact_rank`.
     """
     coeff = coefficient_search(families, ones, f.k * f.n + 1, rng_seed)
     grouped = coeff.grouped
     pattern_ok = bool(np.array_equal(np.abs(grouped) > config.ACCEPT_EPS, ones))
     grouped_rank = numerical_rank(svd(grouped, compute_uv=False), grouped.shape)
-    pattern_rank = exact_rank(DenseTensor(ones.shape, [EC_ONE if v else EC_ZERO
-                                                       for v in ones.flat]))
+    pattern_rank = exact_rank(group_matrize(canonical_tensor(f), f.k // 2))
     implied = (math.ceil(math.log2(pattern_rank)) + 1) if pattern_rank >= 1 else 0
     ell = spec.ell
     return NihCertificate(

@@ -236,20 +236,20 @@ def _gaussian_integer_row(row) -> list:
 
 
 def svd(m: np.ndarray, compute_uv: bool = True):
-    """Singular value decomposition m = u @ diag_rect(sigma) @ v.
+    """Reduced singular value decomposition m = u @ diag(sigma) @ v.
 
     ``m`` is a complex128 matrix whose entries must be finite, else
     ``ValueError``: LAPACK returns NaN factors for an ``inf`` entry instead of
-    failing.  Returns read-only square unitary factors (full matrices) and
-    ``sigma`` sorted descending; with ``compute_uv=False``, as in numpy, it
-    returns ``sigma`` alone and never builds the factors.  The LAPACK
-    kernel's internal iteration cap is surfaced as
-    :class:`ConvergenceFailure`.
+    failing.  Returns read-only reduced factors, ``u`` rows x q and ``v``
+    q x cols for q = min(rows, cols), and ``sigma`` sorted descending; with
+    ``compute_uv=False``, as in numpy, it returns ``sigma`` alone and never
+    builds the factors.  The LAPACK kernel's internal iteration cap is
+    surfaced as :class:`ConvergenceFailure`.
     """
     if not np.isfinite(m).all():
         raise ValueError("svd needs finite entries")
     try:
-        out = np.linalg.svd(m, full_matrices=True, compute_uv=compute_uv)
+        out = np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     for a in out if compute_uv else (out,):

@@ -158,7 +158,11 @@ def check_size_cap(dims) -> None:
     total = math.prod(dims)
     cap = config.size_cap()
     if total > cap:
-        raise SizeCapExceeded(f"{total} entries exceed cap {cap}")
+        try:
+            count = str(total)
+        except ValueError:  # past Python's int-to-str digit limit
+            count = f"at least 2^{total.bit_length() - 1}"
+        raise SizeCapExceeded(f"{count} entries exceed cap {cap}")
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,7 @@ def per_input_families(spec, f):
         b = simulate_branches(spec, xs)
         if (b.accept_probability() > config.ACCEPT_EPS) != ones[yz]:
             raise PremiseViolation(f"protocol acceptance at {xs} disagrees with {f.name}")
-        _, a_vecs, b_vecs = extract_families(b)
-        for a, v in zip(a_vecs, b_vecs):
-            families[yz] += np.outer(a, v)
+        families[yz] = extract_families(b)
     return families, ones
 
 

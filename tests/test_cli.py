@@ -208,13 +208,17 @@ def test_protocol_sweep_runs_on_functions_without_a_witness(tmp_path, capsys):
         assert "FAIL" not in out
 
 
-def test_protocol_checks_size_cap_on_the_svd_factors(tmp_path, monkeypatch, capsys):
-    # eq (2, 3) has 64 entries, but its 16 x 4 grouped matrix has a 16 x 16
-    # left factor
+def test_protocol_svd_factors_fit_in_the_tensors_cap(tmp_path, monkeypatch, capsys):
+    # eq (2, 3) has 64 entries; its 16 x 4 grouped matrix has reduced factors
+    # of 16 x 4 and 4 x 4, so the tensor's own cap is the only one
+    argv = ["protocol", "sweep", "--function", "eq", "--n", "2", "--k", "3",
+            "--out", str(tmp_path)]
     monkeypatch.setenv("NQTENSOR_SIZE_CAP", "128")
-    assert cli.main(["protocol", "sweep", "--function", "eq", "--n", "2", "--k", "3",
-                     "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "usage error: 256 entries exceed cap 128\n"
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("NQTENSOR_SIZE_CAP", "32")
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "usage error: 64 entries exceed cap 32\n"
 
 
 def _write_table(path, value):
@@ -323,8 +327,8 @@ def test_malformed_tsr_or_dec_names_its_line(tmp_path, capsys, tsr, dec, line):
     # a control qubit the player does not have
     ("nih", "dims 2 2", "turn 1 cnot-channel 2", 5),
     ("nih", "dims 2 2 2", "turn 1 flip-channel", 4),
-    # the size-cap message would print 4 * d^2, over 6000 digits, which
-    # Python refuses (ValueError); the line is reported, not a traceback
+    # the size-cap message names 4 * d^2, over 6000 digits and past Python's
+    # int-to-str digit limit, by its bit length; the line is reported
     ("nih", "dims 1" + "0" * 3000 + " 2", "turn 1 flip-channel", 5),
     # NIH is the one turn-based model, so mode nof fails at the mode line
     ("nof", "dims 2 2", "turn 1 write-bit 1", 1),
@@ -379,6 +383,19 @@ def test_nih_extract_over_size_cap_is_usage_error(tmp_path, capsys, monkeypatch,
     assert cli.main(["nih-extract", "--function", function, "--n", "2", "--k", "3",
                      "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "--function", "eq", "--n", "5000", "--k", "3"],
+    ["protocol", "sweep", "--function", "gip", "--n", "5000", "--k", "3"],
+    ["nih-extract", "--function", "const1", "--n", "5000", "--k", "3"],
+    ["nih-extract", "--function", "eq", "--n", "4000", "--k", "3"],
+], ids=["rank-eq", "protocol-gip", "nih-const1", "nih-eq"])
+def test_input_over_size_cap_of_any_size_is_usage_error(tmp_path, capsys, argv):
+    # each entry count has more digits than Python's int-to-str limit
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"usage error: at least 2\^\d+ entries exceed cap \d+\n", err)
 
 
 def test_unknown_function_is_usage_error(tmp_path):
@@ -519,8 +536,11 @@ def test_nih_extract_nan_unitary_is_error(tmp_path):
      "line 3: bits must be positive"),
     ("mode nih\nplayers 2\nbits -3\ndims 2 2\nturn 1 flip-channel\n",
      "line 3: bits must be positive"),
+    # 4^n is named, not built
+    ("mode nih\nplayers 2\nbits 10000000\ndims 2 4\nturn 2 compare-and-flag\n",
+     "line 5: compare-and-flag needs player dim 4^10000000, got 4"),
 ], ids=["players", "bits", "generator", "players-0", "players-negative", "bits-0",
-        "bits-negative"])
+        "bits-negative", "compare-and-flag-huge-bits"])
 def test_one_integer_message_names_its_directive(tmp_path, capsys, text, message):
     scn = tmp_path / "s.scn"
     scn.write_text(text)

@@ -311,10 +311,13 @@ def test_branch_simulation_matches_kron_oracle_bitwise(spec, xs):
     assert b.recontract().tobytes() == state.tobytes()
     assert b.accept_vector().tobytes() == accepted.tobytes()
     g = spec.k // 2
-    members, a_vecs, b_vecs = extract_families(b)
-    assert [v.tobytes() for v in a_vecs + b_vecs] == (
-        [_kron_product(branches[m][:g]).tobytes() for m in members]
-        + [_kron_product(branches[m][g:]).tobytes() for m in members])
+    da = math.prod(spec.player_dims[:g])
+    assert extract_families(b).tobytes() == accepted.reshape(da, -1).tobytes()
+    # the sum of half-products a_m b_m^T, grouped differently: equal up to
+    # rounding
+    halves = sum(np.outer(_kron_product(vecs[:g]), _kron_product(vecs[g:]))
+                 for m, vecs in branches.items() if m and m[-1] == 1)
+    assert np.allclose(extract_families(b), halves, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -744,21 +747,18 @@ def test_any_function_compiles_from_its_zero_one_tensor(f):
 def test_extract_families_single_accepted_branch():
     spec = constant_one_spec()
     b = simulate_branches(spec, (0, 0))
-    members, a_vecs, b_vecs = extract_families(b)
-    assert members == [(1,)]
-    assert len(a_vecs) == len(b_vecs) == 1
-    assert a_vecs[0].shape == (2,)
-    assert b_vecs[0].shape == (2,)
+    assert b.accepted_transcripts() == [(1,)]
+    # the one accepted transcript leaves both players in |0>
+    assert np.array_equal(extract_families(b), [[1, 0], [0, 0]])
 
 
 def test_extract_families_size_is_half_the_branches():
     for ell in (1, 2, 3):
         spec = random_protocol(5, k=3, ell=ell)
         b = simulate_branches(spec, (0, 0, 0))
-        members, a_vecs, b_vecs = extract_families(b)
-        assert len(members) == 2 ** (ell - 1)
-        assert a_vecs[0].shape == (2,)       # floor(3/2) = 1 player
-        assert b_vecs[0].shape == (4,)       # remaining 2 players
+        assert len(b.accepted_transcripts()) == 2 ** (ell - 1)
+        # floor(3/2) = 1 player of dim 2 by the remaining 2 players
+        assert extract_families(b).shape == (2, 4)
 
 
 def pair_families(fam_a, fam_b):

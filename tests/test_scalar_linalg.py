@@ -369,6 +369,17 @@ def test_svd_reconstruction_and_unitarity_on_random_matrices():
         assert all(s[i] >= s[i + 1] for i in range(len(s) - 1))
 
 
+def test_svd_factors_are_reduced():
+    # no factor has more entries than the matrix
+    rng = np.random.default_rng(3)
+    for rows, cols in ((6, 4), (3, 5)):
+        arr = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        u, s, v = svd(arr)
+        q = min(rows, cols)
+        assert (u.shape, s.shape, v.shape) == ((rows, q), (q,), (q, cols))
+        assert np.linalg.norm(u @ np.diag(s) @ v - arr) <= 1e-10 * np.linalg.norm(arr)
+
+
 def test_svd_factors_are_read_only():
     for factor in svd(np.eye(2, dtype=np.complex128)):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from nqtensor.scalar_linalg import EC_ONE, EC_ZERO, exact, exact_rank
 from nqtensor.tensor_core import (
     Decomposition,
     DenseTensor,
+    check_size_cap,
     group_matrize,
     materialize,
     read_dec,
@@ -127,6 +128,15 @@ def test_materialize_checks_size_cap(monkeypatch):
     monkeypatch.setenv("NQTENSOR_SIZE_CAP", "32")
     with pytest.raises(SizeCapExceeded):
         materialize(d)
+
+
+def test_size_cap_message_names_an_unprintable_count_by_its_bits(monkeypatch):
+    monkeypatch.setenv("NQTENSOR_SIZE_CAP", "32")
+    with pytest.raises(SizeCapExceeded, match="^64 entries exceed cap 32$"):
+        check_size_cap((8, 8))
+    # 2^15000 has 4516 digits, past Python's default int-to-str limit
+    with pytest.raises(SizeCapExceeded, match=r"^at least 2\^15000 entries exceed cap 32$"):
+        check_size_cap((2 ** 5000,) * 3)
 
 
 # ---------------------------------------------------------------------------

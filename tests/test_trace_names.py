@@ -9,7 +9,17 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from nqtensor.functions import canonical_tensor, eq_nondet_decomposition, equality
+import numpy as np
+import pytest
+
+from nqtensor.errors import CoefficientNotFound
+from nqtensor.functions import canonical_tensor, constant, eq_nondet_decomposition, equality
+from nqtensor.protocol import (
+    coefficient_search,
+    constant_one_spec,
+    nih_families,
+    simulate_branches,
+)
 from nqtensor.tensor_core import read_dec, read_tsr, unfold, write_dec, write_tsr
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -52,3 +62,18 @@ def test_counts_read_real_arguments(tmp_path):
         size = args[0].stat().st_size
         assert size > 0
         assert counts["tensor_core", fn.__name__](args, {}, result) == {"bytes": size}
+    # the one turn raises the channel: one live transcript
+    args = (constant_one_spec(), (0, 0))
+    r = simulate_branches(*args)
+    assert len(r.branches) == 1
+    assert counts["protocol", "simulate_branches"](args, {}, r) == {"branches": 1}
+    count = counts["protocol", "coefficient_search"]
+    families, ones = nih_families(constant_one_spec(), constant(1, 2, 1))
+    args = (families, ones, 3, 0)
+    found = coefficient_search(*args)
+    assert count(args, {}, found) == {"attempts": found.attempts, "found": 1}
+    # a failed search used all of its attempts: every accepted matrix is zero
+    args, kwargs = (np.zeros_like(families), ones, 3, 0), {"max_attempts": 4}
+    with pytest.raises(CoefficientNotFound):
+        coefficient_search(*args, **kwargs)
+    assert count(args, kwargs, None) == {"attempts": 4}
